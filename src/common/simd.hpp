@@ -16,6 +16,9 @@
 // accumulators explicitly (see ref_kernels.hpp dot): the compiler may pack
 // the four lanes into one vector register but cannot reassociate beyond
 // them.
+//
+// TL_NOINLINE keeps a cold path out of the function that holds a hot loop,
+// where inlining it can cost the loop its register allocation.
 #pragma once
 
 #if defined(_MSC_VER)
@@ -24,6 +27,14 @@
 #define TL_RESTRICT __restrict__
 #else
 #define TL_RESTRICT
+#endif
+
+#if defined(_MSC_VER)
+#define TL_NOINLINE __declspec(noinline)
+#elif defined(__GNUC__) || defined(__clang__)
+#define TL_NOINLINE __attribute__((noinline))
+#else
+#define TL_NOINLINE
 #endif
 
 // Function multi-versioning needs ELF ifunc support: glibc-style Linux on

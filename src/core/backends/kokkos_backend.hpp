@@ -4,7 +4,7 @@
 // space with explicit 2D index arithmetic, and initial conditions are
 // painted on host mirrors then deep_copied in.
 //
-//   kokkos-omp  : KokkosBackend<kk::Threads>  (host pool)
+//   kokkos-omp  : KokkosBackend<kk::Threads>  (the pool make_backend is given)
 //   kokkos-cuda : KokkosBackend<kk::SimGPU>   (simulated GPU)
 #pragma once
 
@@ -27,7 +27,9 @@ class KokkosBackend final : public Backend {
   using HostView = kk::View1D<double, kk::HostSpace>;
 
 public:
-  explicit KokkosBackend(std::string id) : id_(std::move(id)) {}
+  /// Launches run on `space` (for Threads, the pool it names).
+  explicit KokkosBackend(std::string id, Exec space = {})
+      : id_(std::move(id)), space_(space) {}
 
   std::string id() const override { return id_; }
 
@@ -74,7 +76,7 @@ public:
     const int ny = ny_;
     kk::parallel_for(
         "tea_coefficients",
-        kk::MDRangePolicy2<Exec>(0, ny + 1, 0, nx + 1),
+        kk::MDRangePolicy2<Exec>(space_, 0, ny + 1, 0, nx + 1),
         [=](long j, long i) {
           const double wc = ref::conduction(density(at(i, j)), kind);
           if (j < ny) {
@@ -169,7 +171,8 @@ public:
     const int nx = nx_;
     double result = 0.0;
     kk::parallel_reduce(
-        "tea_dot", kk::RangePolicy<Exec>(0, static_cast<long>(nx) * ny_),
+        "tea_dot",
+        kk::RangePolicy<Exec>(space_, 0, static_cast<long>(nx) * ny_),
         [=](long idx, double& sum) {
           const long i = idx % nx;
           const long j = idx / nx;
@@ -245,7 +248,8 @@ public:
     const int nx = nx_;
     double err = 0.0;
     kk::parallel_reduce(
-        "tea_jacobi", kk::RangePolicy<Exec>(0, static_cast<long>(nx) * ny_),
+        "tea_jacobi",
+        kk::RangePolicy<Exec>(space_, 0, static_cast<long>(nx) * ny_),
         [=](long idx, double& e) {
           const long i = idx % nx;
           const long j = idx / nx;
@@ -276,13 +280,13 @@ public:
     FieldSummary s;
     s.vol = vol_cell * static_cast<double>(n);
     kk::parallel_reduce(
-        "tea_summary_mass", kk::RangePolicy<Exec>(0, n),
+        "tea_summary_mass", kk::RangePolicy<Exec>(space_, 0, n),
         [=](long idx, double& acc) {
           acc += density(at(idx % nx, idx / nx)) * vol_cell;
         },
         s.mass);
     kk::parallel_reduce(
-        "tea_summary_ie", kk::RangePolicy<Exec>(0, n),
+        "tea_summary_ie", kk::RangePolicy<Exec>(space_, 0, n),
         [=](long idx, double& acc) {
           const long i = idx % nx;
           const long j = idx / nx;
@@ -290,7 +294,7 @@ public:
         },
         s.ie);
     kk::parallel_reduce(
-        "tea_summary_temp", kk::RangePolicy<Exec>(0, n),
+        "tea_summary_temp", kk::RangePolicy<Exec>(space_, 0, n),
         [=](long idx, double& acc) {
           acc += u(at(idx % nx, idx / nx)) * vol_cell;
         },
@@ -305,14 +309,15 @@ public:
     const int ny = ny_;
     for (const FieldId fid : fields) {
       auto f = view(fid);
-      kk::parallel_for("tea_halo_x", kk::MDRangePolicy2<Exec>(0, ny, 0, depth),
+      kk::parallel_for("tea_halo_x",
+                       kk::MDRangePolicy2<Exec>(space_, 0, ny, 0, depth),
                        [=](long j, long k) {
                          f(at(-1 - k, j)) = f(at(k, j));
                          f(at(nx + k, j)) = f(at(nx - 1 - k, j));
                        });
       kk::parallel_for(
           "tea_halo_y",
-          kk::MDRangePolicy2<Exec>(0, depth, 0, nx + 2 * depth),
+          kk::MDRangePolicy2<Exec>(space_, 0, depth, 0, nx + 2 * depth),
           [=](long k, long ii) {
             const long i = ii - depth;
             f(at(i, -1 - k)) = f(at(i, k));
@@ -373,7 +378,7 @@ private:
   }
 
   kk::MDRangePolicy2<Exec> interior_policy() const {
-    return kk::MDRangePolicy2<Exec>(0, ny_, 0, nx_);
+    return kk::MDRangePolicy2<Exec>(space_, 0, ny_, 0, nx_);
   }
 
   void charge(const ref::KernelCost& c) const {
@@ -383,6 +388,7 @@ private:
   }
 
   std::string id_;
+  Exec space_;
   int nx_ = 0, ny_ = 0, halo_ = 2, pnx_ = 0, pny_ = 0;
   double cell_volume_ = 0.0;
   std::array<FieldView, kNumFields> fields_;

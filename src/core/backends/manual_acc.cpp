@@ -17,7 +17,9 @@ miniacc::KernelTraffic traffic(const PartitionGeom& g,
 }
 }  // namespace
 
-ManualAccBackend::ManualAccBackend(miniacc::Target target) : target_(target) {}
+ManualAccBackend::ManualAccBackend(miniacc::Target target,
+                                   tlp::ThreadPool* pool)
+    : target_(target), pool_(pool) {}
 
 ManualAccBackend::~ManualAccBackend() = default;
 
@@ -51,7 +53,8 @@ void ManualAccBackend::setup(const tl::ProblemConfig& cfg) {
 
   // `#pragma acc data copy(density, energy0, energy1, u, ...)` for the whole
   // run: every field enters the region; solver scratch uses `create`.
-  region_ = std::make_unique<miniacc::DataRegion>(target_);
+  region_ = std::make_unique<miniacc::DataRegion>(
+      target_, &simgpu::default_device(), pool_);
   const std::size_t padded = static_cast<std::size_t>(geom_.padded_cells());
   for (int f = 0; f < kNumFields; ++f) {
     const auto fid = static_cast<FieldId>(f);

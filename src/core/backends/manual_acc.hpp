@@ -20,7 +20,9 @@ namespace tea {
 
 class ManualAccBackend final : public Backend {
 public:
-  explicit ManualAccBackend(miniacc::Target target);
+  /// `pool` runs the host target's loops (nullptr: tlp::global_pool()).
+  explicit ManualAccBackend(miniacc::Target target,
+                            tlp::ThreadPool* pool = nullptr);
   ~ManualAccBackend() override;
 
   std::string id() const override {
@@ -60,6 +62,7 @@ private:
   CellView rv(FieldId f) const;  // region-pointer view
 
   miniacc::Target target_;
+  tlp::ThreadPool* pool_;
   std::unique_ptr<FieldStore> store_;
   std::unique_ptr<miniacc::DataRegion> region_;
   std::array<double*, kNumFields> mapped_{};

@@ -1,7 +1,9 @@
 // raja_backend.hpp — TeaLeaf through miniraja, following the RAJA port's
-// structure: kernels are forall<policy> lambdas over a flattened index space,
-// reductions are portable ReduceSum objects, and the same loop bodies serve
-// the OpenMP and CUDA policies.
+// structure: every kernel is a RAJA::kernel with two For statements (rows
+// outer, columns inner — raja::kernel_2d), reductions are portable ReduceSum
+// objects that each loop-body copy accumulates privately, and the same loop
+// bodies serve the OpenMP and CUDA policies.  The host policy runs on the
+// pool the backend is constructed with.
 //
 //   raja-omp  : RajaBackend<raja::omp_parallel_for_exec>  (host arrays)
 //   raja-cuda : RajaBackend<raja::simgpu_exec>            (device arrays)
@@ -11,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -62,14 +65,28 @@ struct RajaStorage<raja::simgpu_exec> {
   }
 };
 
+/// A field as the kernels index it: a RAJA::View with a 2-D layout over the
+/// padded slab, (i, j) from the interior origin in RAJA's 64-bit index type,
+/// so a cell address is one multiply-add with no narrowing.
+struct RajaView {
+  double* origin = nullptr;
+  long stride = 0;
+
+  double& operator()(long i, long j) const { return origin[j * stride + i]; }
+};
+
 }  // namespace detail
 
 template <typename Policy>
 class RajaBackend final : public Backend {
   using Storage = detail::RajaStorage<Policy>;
+  using View = detail::RajaView;
 
 public:
-  explicit RajaBackend(std::string id) : id_(std::move(id)) {}
+  /// `pool` runs the host policy's loops (nullptr: tlp::global_pool()); the
+  /// GPU policy runs on the current simgpu device.
+  explicit RajaBackend(std::string id, tlp::ThreadPool* pool = nullptr)
+      : id_(std::move(id)), pool_(pool) {}
 
   ~RajaBackend() override {
     for (double* f : fields_) {
@@ -112,36 +129,31 @@ public:
   }
 
   void compute_coefficients(tl::CoefficientKind kind) override {
-    CellView density = cv(FieldId::kDensity);
-    CellView kx = cv(FieldId::kKx);
-    CellView ky = cv(FieldId::kKy);
+    const View density = cv(FieldId::kDensity);
+    const View kx = cv(FieldId::kKx);
+    const View ky = cv(FieldId::kKy);
     const int nx = nx_;
     const int ny = ny_;
-    raja::kernel_2d<Policy>(
-        raja::RangeSegment(0, ny + 1), raja::RangeSegment(0, nx + 1),
-        [=](long j, long i) {
-          const double wc = ref::conduction(density(i, j), kind);
-          if (j < ny) {
-            const double wl = ref::conduction(density(i - 1, j), kind);
-            kx(i, j) = (wl + wc) / (2.0 * wl * wc);
-          }
-          if (i < nx) {
-            const double wd = ref::conduction(density(i, j - 1), kind);
-            ky(i, j) = (wd + wc) / (2.0 * wd * wc);
-          }
-        });
+    kernel(ny + 1, nx + 1, [=](long j, long i) {
+      const double wc = ref::conduction(density(i, j), kind);
+      if (j < ny) {
+        const double wl = ref::conduction(density(i - 1, j), kind);
+        kx(i, j) = (wl + wc) / (2.0 * wl * wc);
+      }
+      if (i < nx) {
+        const double wd = ref::conduction(density(i, j - 1), kind);
+        ky(i, j) = (wd + wc) / (2.0 * wd * wc);
+      }
+    });
     charge(ref::kCostCoefficients);
   }
 
   void init_u_u0() override {
-    CellView density = cv(FieldId::kDensity);
-    CellView energy = cv(FieldId::kEnergy1);
-    CellView u = cv(FieldId::kU);
-    CellView u0 = cv(FieldId::kU0);
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    const View density = cv(FieldId::kDensity);
+    const View energy = cv(FieldId::kEnergy1);
+    const View u = cv(FieldId::kU);
+    const View u0 = cv(FieldId::kU0);
+    kernel(ny_, nx_, [=](long j, long i) {
       const double v = energy(i, j) * density(i, j);
       u(i, j) = v;
       u0(i, j) = v;
@@ -150,74 +162,54 @@ public:
   }
 
   void apply_operator(FieldId in, FieldId out) override {
-    CellView vin = cv(in);
-    CellView vout = cv(out);
-    CellView kx = cv(FieldId::kKx);
-    CellView ky = cv(FieldId::kKy);
+    const View vin = cv(in);
+    const View vout = cv(out);
+    const View kx = cv(FieldId::kKx);
+    const View ky = cv(FieldId::kKy);
     const double rx = rx_, ry = ry_;
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
-      vout(i, j) = ref::apply_operator_at(
-          ConstCellView{vin.origin, vin.stride},
-          ConstCellView{kx.origin, kx.stride},
-          ConstCellView{ky.origin, ky.stride}, rx, ry, i, j);
+    kernel(ny_, nx_, [=](long j, long i) {
+      vout(i, j) = ref::apply_operator_at(vin, kx, ky, rx, ry, i, j);
     });
     charge(ref::kCostOperator);
   }
 
   void compute_residual() override {
-    CellView u = cv(FieldId::kU);
-    CellView u0 = cv(FieldId::kU0);
-    CellView r = cv(FieldId::kR);
-    CellView kx = cv(FieldId::kKx);
-    CellView ky = cv(FieldId::kKy);
+    const View u = cv(FieldId::kU);
+    const View u0 = cv(FieldId::kU0);
+    const View r = cv(FieldId::kR);
+    const View kx = cv(FieldId::kKx);
+    const View ky = cv(FieldId::kKy);
     const double rx = rx_, ry = ry_;
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
-      const double au = ref::apply_operator_at(
-          ConstCellView{u.origin, u.stride}, ConstCellView{kx.origin, kx.stride},
-          ConstCellView{ky.origin, ky.stride}, rx, ry, i, j);
+    kernel(ny_, nx_, [=](long j, long i) {
+      const double au = ref::apply_operator_at(u, kx, ky, rx, ry, i, j);
       r(i, j) = u0(i, j) - au;
     });
     charge(ref::kCostResidual);
   }
 
   void copy_field(FieldId src, FieldId dst) override {
-    CellView s = cv(src);
-    CellView d = cv(dst);
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    const View s = cv(src);
+    const View d = cv(dst);
+    kernel(ny_, nx_, [=](long j, long i) {
       d(i, j) = s(i, j);
     });
     charge(ref::kCostCopy);
   }
 
   void scale_copy(FieldId dst, FieldId src, double sc) override {
-    CellView s = cv(src);
-    CellView d = cv(dst);
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    const View s = cv(src);
+    const View d = cv(dst);
+    kernel(ny_, nx_, [=](long j, long i) {
       d(i, j) = sc * s(i, j);
     });
     charge(ref::kCostScaleCopy);
   }
 
   double dot(FieldId a, FieldId b) override {
-    CellView va = cv(a);
-    CellView vb = cv(b);
-    const int nx = nx_;
+    const View va = cv(a);
+    const View vb = cv(b);
     raja::ReduceSum<double> sum(0.0);
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    kernel(ny_, nx_, [=](long j, long i) {
       sum += va(i, j) * vb(i, j);
     });
     charge(ref::kCostDot);
@@ -226,39 +218,30 @@ public:
   }
 
   void axpy(FieldId y, double a, FieldId x) override {
-    CellView vy = cv(y);
-    CellView vx = cv(x);
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    const View vy = cv(y);
+    const View vx = cv(x);
+    kernel(ny_, nx_, [=](long j, long i) {
       vy(i, j) += a * vx(i, j);
     });
     charge(ref::kCostAxpy);
   }
 
   void zaxpy(FieldId p, double beta, FieldId z) override {
-    CellView vp = cv(p);
-    CellView vz = cv(z);
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    const View vp = cv(p);
+    const View vz = cv(z);
+    kernel(ny_, nx_, [=](long j, long i) {
       vp(i, j) = vz(i, j) + beta * vp(i, j);
     });
     charge(ref::kCostZaxpy);
   }
 
   void precondition(FieldId dst, FieldId src) override {
-    CellView d = cv(dst);
-    CellView s = cv(src);
-    CellView kx = cv(FieldId::kKx);
-    CellView ky = cv(FieldId::kKy);
+    const View d = cv(dst);
+    const View s = cv(src);
+    const View kx = cv(FieldId::kKx);
+    const View ky = cv(FieldId::kKy);
     const double rx = rx_, ry = ry_;
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    kernel(ny_, nx_, [=](long j, long i) {
       const double diag = 1.0 + rx * (kx(i + 1, j) + kx(i, j)) +
                           ry * (ky(i, j + 1) + ky(i, j));
       d(i, j) = s(i, j) / diag;
@@ -268,14 +251,11 @@ public:
 
   void smooth_update(FieldId acc, FieldId res, FieldId w, FieldId sd,
                      double alpha, double beta) override {
-    CellView vacc = cv(acc);
-    CellView vres = cv(res);
-    CellView vw = cv(w);
-    CellView vsd = cv(sd);
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    const View vacc = cv(acc);
+    const View vres = cv(res);
+    const View vw = cv(w);
+    const View vsd = cv(sd);
+    kernel(ny_, nx_, [=](long j, long i) {
       vacc(i, j) += vsd(i, j);
       vres(i, j) -= vw(i, j);
       vsd(i, j) = alpha * vsd(i, j) + beta * vres(i, j);
@@ -285,17 +265,14 @@ public:
 
   double jacobi_iterate() override {
     // Sweep u -> w (halo of u freshly updated by the solver), then commit.
-    CellView uold = cv(FieldId::kU);
-    CellView u0 = cv(FieldId::kU0);
-    CellView w = cv(FieldId::kW);
-    CellView kx = cv(FieldId::kKx);
-    CellView ky = cv(FieldId::kKy);
+    const View uold = cv(FieldId::kU);
+    const View u0 = cv(FieldId::kU0);
+    const View w = cv(FieldId::kW);
+    const View kx = cv(FieldId::kKx);
+    const View ky = cv(FieldId::kKy);
     const double rx = rx_, ry = ry_;
-    const int nx = nx_;
     raja::ReduceSum<double> err(0.0);
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    kernel(ny_, nx_, [=](long j, long i) {
       const double diag = 1.0 + rx * (kx(i + 1, j) + kx(i, j)) +
                           ry * (ky(i, j + 1) + ky(i, j));
       const double off =
@@ -312,15 +289,12 @@ public:
   }
 
   FieldSummary field_summary() override {
-    CellView density = cv(FieldId::kDensity);
-    CellView energy = cv(FieldId::kEnergy0);
-    CellView u = cv(FieldId::kU);
-    const int nx = nx_;
+    const View density = cv(FieldId::kDensity);
+    const View energy = cv(FieldId::kEnergy0);
+    const View u = cv(FieldId::kU);
     const double vol_cell = cell_volume_;
     raja::ReduceSum<double> mass(0.0), ie(0.0), temp(0.0);
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    kernel(ny_, nx_, [=](long j, long i) {
       mass += density(i, j) * vol_cell;
       ie += density(i, j) * energy(i, j) * vol_cell;
       temp += u(i, j) * vol_cell;
@@ -339,35 +313,26 @@ public:
     const int nx = nx_;
     const int ny = ny_;
     for (const FieldId fid : fields) {
-      CellView f = cv(fid);
-      raja::kernel_2d<Policy>(raja::RangeSegment(0, ny),
-                              raja::RangeSegment(0, depth), [=](long j, long k) {
-                                f(-1 - static_cast<int>(k), static_cast<int>(j)) =
-                                    f(static_cast<int>(k), static_cast<int>(j));
-                                f(nx + static_cast<int>(k), static_cast<int>(j)) =
-                                    f(nx - 1 - static_cast<int>(k),
-                                      static_cast<int>(j));
-                              });
-      raja::kernel_2d<Policy>(
-          raja::RangeSegment(0, depth),
-          raja::RangeSegment(0, nx + 2 * depth), [=](long k, long ii) {
-            const int i = static_cast<int>(ii) - depth;
-            f(i, -1 - static_cast<int>(k)) = f(i, static_cast<int>(k));
-            f(i, ny + static_cast<int>(k)) = f(i, ny - 1 - static_cast<int>(k));
-          });
+      const View f = cv(fid);
+      kernel(ny, depth, [=](long j, long k) {
+        f(-1 - k, j) = f(k, j);
+        f(nx + k, j) = f(nx - 1 - k, j);
+      });
+      kernel(depth, nx + 2 * depth, [=](long k, long ii) {
+        const long i = ii - depth;
+        f(i, -1 - k) = f(i, k);
+        f(i, ny + k) = f(i, ny - 1 - k);
+      });
     }
     machine::Instrumentation::global().add_halo_exchange(
         static_cast<std::int64_t>(fields.size()));
   }
 
   void finalise() override {
-    CellView u = cv(FieldId::kU);
-    CellView density = cv(FieldId::kDensity);
-    CellView energy = cv(FieldId::kEnergy1);
-    const int nx = nx_;
-    raja::forall<Policy>(interior(), [=](long idx) {
-      const int i = static_cast<int>(idx % nx);
-      const int j = static_cast<int>(idx / nx);
+    const View u = cv(FieldId::kU);
+    const View density = cv(FieldId::kDensity);
+    const View energy = cv(FieldId::kEnergy1);
+    kernel(ny_, nx_, [=](long j, long i) {
       energy(i, j) = u(i, j) / density(i, j);
     });
     charge(ref::kCostFinalise);
@@ -415,14 +380,17 @@ public:
 private:
   double* field(FieldId f) const { return fields_[static_cast<std::size_t>(f)]; }
 
-  CellView cv(FieldId f) const {
-    return CellView{field(f) +
-                        static_cast<std::ptrdiff_t>(halo_) * pnx_ + halo_,
-                    pnx_};
+  View cv(FieldId f) const {
+    return View{field(f) + static_cast<std::ptrdiff_t>(halo_) * pnx_ + halo_,
+                pnx_};
   }
 
-  raja::RangeSegment interior() const {
-    return raja::RangeSegment(0, static_cast<long>(nx_) * ny_);
+  /// RAJA::kernel with two For statements over [0, rows) x [0, cols), rows
+  /// outer; the interior is kernel(ny_, nx_, ...).
+  template <typename F>
+  void kernel(long rows, long cols, F&& f) const {
+    raja::kernel_2d<Policy>(pool_, raja::RangeSegment(0, rows),
+                            raja::RangeSegment(0, cols), std::forward<F>(f));
   }
 
   void charge(const ref::KernelCost& c) const {
@@ -440,6 +408,7 @@ private:
   }
 
   std::string id_;
+  tlp::ThreadPool* pool_;
   int nx_ = 0, ny_ = 0, halo_ = 2, pnx_ = 0, pny_ = 0;
   double cell_volume_ = 0.0;
   std::array<double*, kNumFields> fields_{};

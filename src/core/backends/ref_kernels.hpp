@@ -134,9 +134,11 @@ inline void init_u_u0(ConstCellView density, ConstCellView energy, CellView u,
   }
 }
 
-inline double apply_operator_at(ConstCellView in, ConstCellView kx,
-                                ConstCellView ky, double rx, double ry, int i,
-                                int j) {
+/// One cell of the operator, for kernels that index a field view per cell
+/// (the RAJA port); `View` is any (i, j)-callable field view.
+template <typename View, typename Index>
+double apply_operator_at(const View& in, const View& kx, const View& ky,
+                         double rx, double ry, Index i, Index j) {
   const double diag =
       1.0 + rx * (kx(i + 1, j) + kx(i, j)) + ry * (ky(i, j + 1) + ky(i, j));
   return diag * in(i, j) -

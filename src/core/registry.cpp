@@ -65,7 +65,7 @@ std::unique_ptr<Backend> make_backend(const std::string& id,
     return std::make_unique<ManualCudaBackend>();
   }
   if (id == "manual-acc-cpu") {
-    return std::make_unique<ManualAccBackend>(miniacc::Target::kHost);
+    return std::make_unique<ManualAccBackend>(miniacc::Target::kHost, pool);
   }
   if (id == "manual-acc-gpu") {
     simgpu::default_device().set_block_size(opts.gpu_block_x, opts.gpu_block_y);
@@ -87,7 +87,8 @@ std::unique_ptr<Backend> make_backend(const std::string& id,
     return std::make_unique<OpsBackend>(id, o);
   }
   if (id == "kokkos-omp") {
-    return std::make_unique<KokkosBackend<kk::Threads>>("kokkos-omp");
+    return std::make_unique<KokkosBackend<kk::Threads>>("kokkos-omp",
+                                                        kk::Threads{pool});
   }
   if (id == "kokkos-cuda") {
     simgpu::default_device().set_block_size(opts.gpu_block_x, opts.gpu_block_y);
@@ -95,7 +96,7 @@ std::unique_ptr<Backend> make_backend(const std::string& id,
   }
   if (id == "raja-omp") {
     return std::make_unique<RajaBackend<raja::omp_parallel_for_exec>>(
-        "raja-omp");
+        "raja-omp", pool);
   }
   if (id == "raja-cuda") {
     simgpu::default_device().set_block_size(opts.gpu_block_x, opts.gpu_block_y);
@@ -157,8 +158,9 @@ RunResult run_simulation(const std::string& id, const tl::ProblemConfig& cfg,
   if (!backend_is_distributed(id)) {
     std::unique_ptr<tlp::ThreadPool> own_pool;
     tlp::ThreadPool* pool = nullptr;
-    const bool threaded =
-        id == "manual-omp" || id == "ops-omp";
+    const bool threaded = id == "manual-omp" || id == "ops-omp" ||
+                          id == "kokkos-omp" || id == "raja-omp" ||
+                          id == "manual-acc-cpu";
     if (threaded) {
       if (options.threads > 0) {
         own_pool = std::make_unique<tlp::ThreadPool>(options.threads);

@@ -16,8 +16,12 @@ namespace kk {
 
 /// Single host thread.
 struct Serial {};
-/// Host thread pool (Kokkos::OpenMP equivalent; backed by tlp).
-struct Threads {};
+/// Host thread pool (Kokkos::OpenMP equivalent; backed by tlp).  An
+/// instance names the pool its launches run on, as a Kokkos execution-space
+/// instance does; a default-constructed one uses tlp::global_pool().
+struct Threads {
+  tlp::ThreadPool* pool = nullptr;
+};
 /// Simulated GPU (Kokkos::Cuda equivalent; backed by simgpu).
 struct SimGPU {};
 
@@ -55,7 +59,9 @@ struct DefaultLayout<SimGPUSpace> {
 /// The device every SimGPUSpace allocation and SimGPU launch uses.
 inline simgpu::Device& device() { return simgpu::default_device(); }
 
-/// The pool Threads launches use.
-inline tlp::ThreadPool& thread_pool() { return tlp::global_pool(); }
+/// The pool a Threads instance's launches use.
+inline tlp::ThreadPool& thread_pool(const Threads& space) {
+  return space.pool != nullptr ? *space.pool : tlp::global_pool();
+}
 
 }  // namespace kk

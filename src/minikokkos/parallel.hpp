@@ -3,8 +3,10 @@
 // parallel_for/parallel_reduce mirror Kokkos' functor signatures:
 //   RangePolicy    : f(i)            / f(i, sum&)
 //   MDRangePolicy2 : f(i0, i1)       / f(i0, i1, sum&)
-// Host executions count one kernel launch in the instrumentation; SimGPU
-// executions delegate to simgpu::Device, which counts its own.
+// A policy carries its execution-space instance (a Threads instance names
+// the pool to run on).  Host executions count one kernel launch in the
+// instrumentation; SimGPU executions delegate to simgpu::Device, which
+// counts its own.
 #pragma once
 
 #include <functional>
@@ -17,19 +19,24 @@ namespace kk {
 
 template <typename Exec = Serial>
 struct RangePolicy {
+  Exec space{};
   long begin = 0;
   long end = 0;
   RangePolicy(long b, long e) : begin(b), end(e) {}
+  RangePolicy(Exec s, long b, long e) : space(s), begin(b), end(e) {}
 };
 
 /// 2D MDRange (Kokkos::MDRangePolicy<Rank<2>>); iteration order follows
 /// LayoutRight on host (i0 outer) and maps i1 to the fast GPU axis.
 template <typename Exec = Serial>
 struct MDRangePolicy2 {
+  Exec space{};
   long begin0 = 0, end0 = 0;
   long begin1 = 0, end1 = 0;
   MDRangePolicy2(long b0, long e0, long b1, long e1)
       : begin0(b0), end0(e0), begin1(b1), end1(e1) {}
+  MDRangePolicy2(Exec s, long b0, long e0, long b1, long e1)
+      : space(s), begin0(b0), end0(e0), begin1(b1), end1(e1) {}
 };
 
 namespace detail {
@@ -47,7 +54,7 @@ void parallel_for(const std::string& name, RangePolicy<Exec> p, F&& f) {
     for (long i = p.begin; i < p.end; ++i) f(i);
     detail::instr().add_launch();
   } else if constexpr (std::is_same_v<Exec, Threads>) {
-    thread_pool().parallel_for(p.begin, p.end, [&](long lo, long hi) {
+    thread_pool(p.space).parallel_for(p.begin, p.end, [&](long lo, long hi) {
       for (long i = lo; i < hi; ++i) f(i);
     });
     detail::instr().add_launch();
@@ -67,7 +74,7 @@ void parallel_for(const std::string& name, MDRangePolicy2<Exec> p, F&& f) {
     }
     detail::instr().add_launch();
   } else if constexpr (std::is_same_v<Exec, Threads>) {
-    thread_pool().parallel_for(p.begin0, p.end0, [&](long lo, long hi) {
+    thread_pool(p.space).parallel_for(p.begin0, p.end0, [&](long lo, long hi) {
       for (long i0 = lo; i0 < hi; ++i0) {
         for (long i1 = p.begin1; i1 < p.end1; ++i1) f(i0, i1);
       }
@@ -97,7 +104,7 @@ void parallel_reduce(const std::string& name, RangePolicy<Exec> p, F&& f,
     detail::instr().add_launch();
     detail::instr().add_reduction();
   } else if constexpr (std::is_same_v<Exec, Threads>) {
-    result = thread_pool().parallel_reduce<double>(
+    result = thread_pool(p.space).template parallel_reduce<double>(
         p.begin, p.end, 0.0,
         [&](long lo, long hi) {
           double acc = 0.0;

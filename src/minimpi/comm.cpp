@@ -42,10 +42,12 @@ void Comm::send_bytes(const void* data, std::size_t bytes, int dest, Tag tag) {
   if (dest == kProcNull) return;
   TL_REQUIRE(dest >= 0 && dest < size(),
              "send to invalid rank " + std::to_string(dest));
-  world_.mailboxes_[static_cast<std::size_t>(dest)]->push(rank_, tag, data,
-                                                          bytes);
+  // Charge before delivery: once pushed, the receiver may act on the
+  // message (close or open a counter window) before this thread runs again.
   machine::Instrumentation::global().add_message(
       static_cast<std::int64_t>(bytes));
+  world_.mailboxes_[static_cast<std::size_t>(dest)]->push(rank_, tag, data,
+                                                          bytes);
 }
 
 Status Comm::recv_bytes(void* data, std::size_t bytes, int source, Tag tag) {

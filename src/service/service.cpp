@@ -230,8 +230,10 @@ void SolveService::worker_loop(Worker& worker) {
       }
       response.latency_seconds =
           seconds_between(queued.submitted, Clock::now());
-      deliver(queued, std::move(response));
+      // Counted before delivery: a client that has its reply must see it
+      // in the next STATS frame.
       completed_.fetch_add(1, std::memory_order_relaxed);
+      deliver(queued, std::move(response));
     }
   }
 }

@@ -21,14 +21,17 @@
 // plan's *variant/solver/preconditioner/fusion* choice but executes
 // shared-memory variants on the worker's fixed-size pool rather than the
 // plan's measured thread count — worker shard sizes are a deployment
-// decision, and the 4-lane reduction contract (row_reduce4) makes results
-// bit-identical across thread counts, so only throughput, not numerics,
-// depends on the shard size.  Only distributed winners still fall back to
+// decision.  Threaded reductions fold per-thread partials, so results are
+// bitwise reproducible at a fixed thread count but can differ in the last
+// bits (and occasionally by an iteration) between thread counts: a
+// response equals a sequential run_simulation at the shard's thread count,
+// not at the plan's (perfbench/NOTES.md, "Known defect").  Only distributed winners still fall back to
 // run_simulation's own SPMD world (counted in ServiceStats.fallback_solves).
 //
 // Determinism contract (asserted by tests/test_service.cpp): a batched
-// solve is bit-identical to the same problem solved sequentially — batching
-// amortises plan resolution and allocation, never changes numerics.
+// solve is bit-identical to the same problem solved sequentially at the
+// shard's thread count — batching amortises plan resolution and
+// allocation, never changes numerics.
 //
 // Library-first: tests and benches drive SolveService in-process;
 // tools/tead.cpp is a thin CLI frontend over run_replay (replay.hpp).

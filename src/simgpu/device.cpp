@@ -104,6 +104,24 @@ void Device::set_block_size(int bx, int by) {
 void Device::launch_1d(const std::string& name, long n,
                        const KernelTraffic& traffic,
                        const std::function<void(long)>& body) {
+  launch_1d_blocks(name, n, traffic, [&](const Block1D& b) {
+    for (long i = b.lo; i < b.hi; ++i) body(i);
+  });
+}
+
+void Device::launch_2d(const std::string& name, int nx, int ny,
+                       const KernelTraffic& traffic,
+                       const std::function<void(int, int)>& body) {
+  launch_2d_blocks(name, nx, ny, traffic, [&](const Block2D& b) {
+    for (int j = b.y0; j < b.y1; ++j) {
+      for (int i = b.x0; i < b.x1; ++i) body(i, j);
+    }
+  });
+}
+
+void Device::launch_1d_blocks(
+    const std::string& name, long n, const KernelTraffic& traffic,
+    const std::function<void(const Block1D&)>& block_body) {
   (void)name;
   if (n <= 0) return;
   const long block = static_cast<long>(block_.x) * block_.y;
@@ -112,8 +130,7 @@ void Device::launch_1d(const std::string& name, long n,
   pool().parallel_for(0, grid, [&](long blo, long bhi) {
     for (long b = blo; b < bhi; ++b) {
       const long lo = b * block;
-      const long hi = std::min(lo + block, n);
-      for (long i = lo; i < hi; ++i) body(i);
+      block_body(Block1D{b, lo, std::min(lo + block, n)});
     }
   });
   {
@@ -124,9 +141,9 @@ void Device::launch_1d(const std::string& name, long n,
   instr().add_traffic(traffic.bytes_read, traffic.bytes_written, traffic.flops);
 }
 
-void Device::launch_2d(const std::string& name, int nx, int ny,
-                       const KernelTraffic& traffic,
-                       const std::function<void(int, int)>& body) {
+void Device::launch_2d_blocks(
+    const std::string& name, int nx, int ny, const KernelTraffic& traffic,
+    const std::function<void(const Block2D&)>& block_body) {
   (void)name;
   if (nx <= 0 || ny <= 0) return;
   const int gx = div_up(nx, block_.x);
@@ -134,15 +151,10 @@ void Device::launch_2d(const std::string& name, int nx, int ny,
   const long blocks = static_cast<long>(gx) * gy;
   pool().parallel_for(0, blocks, [&](long blo, long bhi) {
     for (long b = blo; b < bhi; ++b) {
-      const int bx = static_cast<int>(b % gx);
-      const int by = static_cast<int>(b / gx);
-      const int x0 = bx * block_.x;
-      const int y0 = by * block_.y;
-      const int x1 = std::min(x0 + block_.x, nx);
-      const int y1 = std::min(y0 + block_.y, ny);
-      for (int j = y0; j < y1; ++j) {
-        for (int i = x0; i < x1; ++i) body(i, j);
-      }
+      const int x0 = static_cast<int>(b % gx) * block_.x;
+      const int y0 = static_cast<int>(b / gx) * block_.y;
+      block_body(Block2D{b, x0, std::min(x0 + block_.x, nx), y0,
+                         std::min(y0 + block_.y, ny)});
     }
   });
   {

@@ -73,6 +73,17 @@ public:
                  const KernelTraffic& traffic,
                  const std::function<void(int, int)>& body);
 
+  /// Block-level forms of launch_1d / launch_2d: the body runs once per
+  /// thread block, over that block's index range, so callers can keep
+  /// per-block state (a CUDA kernel's shared-memory reduction partials).
+  /// Same grid, scheduling and counters as the per-element forms.
+  void launch_1d_blocks(const std::string& name, long n,
+                        const KernelTraffic& traffic,
+                        const std::function<void(const Block1D&)>& block_body);
+  void launch_2d_blocks(const std::string& name, int nx, int ny,
+                        const KernelTraffic& traffic,
+                        const std::function<void(const Block2D&)>& block_body);
+
   /// Two-phase device reduction: sum of value_of(i) for i in [0, n).
   /// Deterministic for a fixed block size: per-block partials are reduced in
   /// block order.  Counts the partials round-trip as device traffic plus one

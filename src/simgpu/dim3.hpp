@@ -16,6 +16,21 @@ struct Dim3 {
 /// Ceiling division used to size grids, as CUDA codes do.
 inline int div_up(int n, int block) { return (n + block - 1) / block; }
 
+/// One thread block of a 1D launch: block `index` covers [lo, hi).
+struct Block1D {
+  long index = 0;
+  long lo = 0;
+  long hi = 0;
+};
+
+/// One thread block of a 2D launch: block `index` (row-major over the grid)
+/// covers [x0, x1) x [y0, y1).
+struct Block2D {
+  long index = 0;
+  int x0 = 0, x1 = 0;
+  int y0 = 0, y1 = 0;
+};
+
 /// Per-element kernel coordinates (blockIdx/threadIdx equivalents are
 /// recoverable from these plus the block dims, but kernels in this codebase
 /// consume the global index directly, as TeaLeaf's CUDA kernels do after

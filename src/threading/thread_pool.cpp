@@ -94,6 +94,11 @@ void ThreadPool::parallel_region(const std::function<void(int, int)>& body) {
     body(0, 1);
     return;
   }
+  // job_/remaining_ hold one region; a second dispatcher would overwrite
+  // them under the first one's workers.
+  if (dispatching_.exchange(true, std::memory_order_acquire)) {
+    throw tl::Error("tlp::ThreadPool: concurrent parallel_region on one pool");
+  }
   job_ = &body;
   remaining_.store(num_threads_ - 1, std::memory_order_relaxed);
   // Publish: job_ and remaining_ above are ordered before this increment
@@ -123,6 +128,7 @@ void ThreadPool::parallel_region(const std::function<void(int, int)>& body) {
     backoff.pause();
   }
   job_ = nullptr;
+  dispatching_.store(false, std::memory_order_release);
 
   std::exception_ptr err;
   {

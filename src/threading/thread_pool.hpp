@@ -47,7 +47,9 @@ public:
 
   /// Fork-join region: run body(tid, num_threads) on every thread, return
   /// when all are done.  Exceptions from any thread are captured and the
-  /// first one is rethrown on the caller.
+  /// first one is rethrown on the caller.  One dispatcher at a time: a
+  /// region entered while another is in flight on this pool (a second
+  /// thread, or a nested call from a region body) throws tl::Error.
   void parallel_region(const std::function<void(int, int)>& body);
 
   /// Work-shared loop over [begin, end): `body(lo, hi)` receives contiguous
@@ -92,6 +94,7 @@ private:
   std::atomic<long> generation_{0};
   std::atomic<int> remaining_{0};
   std::atomic<bool> shutdown_{false};
+  std::atomic<bool> dispatching_{false};  // a region is in flight
   const std::function<void(int, int)>* job_ = nullptr;
 
   // Idle parking only: workers take the mutex after exhausting their spin

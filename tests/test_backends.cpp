@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <thread>
 
 #include "common/config.hpp"
 #include "core/registry.hpp"
+#include "results/sweep.hpp"
 
 namespace {
 
@@ -203,6 +207,92 @@ TEST(Registry, UnknownBackendThrows) {
   EXPECT_THROW(tea::run_simulation("cray-vector",
                                    test_problem(8, 1, tl::SolverKind::kCg)),
                tl::Error);
+}
+
+// --- miniraja backends ----------------------------------------------------------
+
+// Logical counters of the RAJA variants, pinned: the loop shape and the
+// reducer mechanics may change, the launches and the charged traffic may
+// not (they feed every projection and the validation checks).
+struct RajaCounterPin {
+  const char* variant;
+  tl::SolverKind solver;
+  long iterations;
+  std::int64_t launches, bytes_read, bytes_written, flops, reductions,
+      halo_exchanges, d2h_bytes;
+};
+
+class RajaCounters : public ::testing::TestWithParam<RajaCounterPin> {};
+
+TEST_P(RajaCounters, MatchPinnedValues) {
+  const RajaCounterPin& pin = GetParam();
+  tl::ProblemConfig problem = results::bench_problem(32, 2);
+  problem.solver = pin.solver;
+  if (pin.solver == tl::SolverKind::kCg) {
+    problem.preconditioner = tl::PreconKind::kJacDiag;
+  }
+  tea::RunOptions options;
+  options.threads = 2;
+  const tea::RunResult run =
+      tea::run_simulation(pin.variant, problem, options);
+  const machine::Counters& c = run.counters;
+  EXPECT_EQ(run.total_iterations, pin.iterations);
+  EXPECT_EQ(c.kernel_launches, pin.launches);
+  EXPECT_EQ(c.bytes_read, pin.bytes_read);
+  EXPECT_EQ(c.bytes_written, pin.bytes_written);
+  EXPECT_EQ(c.flops, pin.flops);
+  EXPECT_EQ(c.reductions, pin.reductions);
+  EXPECT_EQ(c.halo_exchanges, pin.halo_exchanges);
+  EXPECT_EQ(c.h2d_bytes, 0);
+  EXPECT_EQ(c.d2h_bytes, pin.d2h_bytes);
+  EXPECT_EQ(c.messages, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, RajaCounters,
+    ::testing::Values(
+        RajaCounterPin{"raja-omp", tl::SolverKind::kJacobi, 480, 2034,
+                       33095680, 12107776, 8323072, 508, 506, 0},
+        RajaCounterPin{"raja-omp", tl::SolverKind::kCg, 56, 578, 9420800,
+                       2408448, 2240512, 172, 58, 0},
+        RajaCounterPin{"raja-omp", tl::SolverKind::kCheby, 54, 450, 6438912,
+                       1884160, 1333248, 112, 56, 0},
+        RajaCounterPin{"raja-omp", tl::SolverKind::kPpcg, 54, 450, 6438912,
+                       1884160, 1333248, 112, 56, 0},
+        RajaCounterPin{"raja-cuda", tl::SolverKind::kJacobi, 480, 2034,
+                       33095680, 12107776, 8323072, 508, 506, 4064},
+        RajaCounterPin{"raja-cuda", tl::SolverKind::kCg, 56, 578, 9420800,
+                       2408448, 2240512, 172, 58, 1376},
+        RajaCounterPin{"raja-cuda", tl::SolverKind::kCheby, 54, 450, 6438912,
+                       1884160, 1333248, 112, 56, 896},
+        RajaCounterPin{"raja-cuda", tl::SolverKind::kPpcg, 54, 450, 6438912,
+                       1884160, 1333248, 112, 56, 896}),
+    [](const auto& info) {
+      std::string name = std::string(info.param.variant) + "_" +
+                         tl::to_string(info.param.solver);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+// raja-omp reductions fold per pool rank, so a solve's bits depend on the
+// thread count only — not on which OS threads exist or were created first.
+TEST(RajaReductions, SolveIsBitwiseRepeatableAfterThreadChurn) {
+  const tl::ProblemConfig problem = test_problem(64, 2, tl::SolverKind::kCg);
+  tea::RunOptions options;
+  options.threads = 4;
+  const tea::RunResult a = tea::run_simulation("raja-omp", problem, options);
+  for (int k = 0; k < 5; ++k) std::thread([] {}).join();
+  const tea::RunResult b = tea::run_simulation("raja-omp", problem, options);
+  ASSERT_EQ(a.steps.size(), b.steps.size());
+  EXPECT_EQ(a.total_iterations, b.total_iterations);
+  for (std::size_t s = 0; s < a.steps.size(); ++s) {
+    EXPECT_EQ(a.steps[s].solve.initial_rr, b.steps[s].solve.initial_rr);
+    EXPECT_EQ(a.steps[s].solve.final_rr, b.steps[s].solve.final_rr);
+    EXPECT_EQ(a.steps[s].summary.temp, b.steps[s].summary.temp);
+    EXPECT_EQ(a.steps[s].summary.ie, b.steps[s].summary.ie);
+  }
 }
 
 TEST(Registry, BackendListConsistent) {

@@ -1,11 +1,19 @@
 // Unit tests for miniraja: forall across policies, nested kernels, and the
-// portable reducer objects.
+// portable reducer objects (private per-chunk accumulators folded in chunk
+// order).  Runs under TSan in CI: reducers combine across threads at chunk
+// end.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #include "miniraja/miniraja.hpp"
 #include "simgpu/device.hpp"
+#include "threading/schedule.hpp"
+#include "threading/thread_pool.hpp"
 
 namespace {
 
@@ -77,6 +85,34 @@ TYPED_TEST(PolicyTest, MultipleReducersInOneLoop) {
   EXPECT_DOUBLE_EQ(odd.get(), 50.0);
 }
 
+TYPED_TEST(PolicyTest, ReducersInsideKernel2D) {
+  raja::ReduceSum<double> sum(1.0);
+  raja::ReduceMin<double> mn(1e30);
+  raja::ReduceMax<double> mx(-1e30);
+  raja::kernel_2d<TypeParam>(raja::RangeSegment(0, 37),
+                             raja::RangeSegment(0, 53), [=](long j, long i) {
+                               const double v = static_cast<double>(j * 53 + i);
+                               sum += v;
+                               mn.min(v - 7.0);
+                               mx.max(v + 7.0);
+                             });
+  const double n = 37.0 * 53.0;
+  EXPECT_DOUBLE_EQ(sum.get(), 1.0 + n * (n - 1.0) / 2.0);
+  EXPECT_DOUBLE_EQ(mn.get(), -7.0);
+  EXPECT_DOUBLE_EQ(mx.get(), n - 1.0 + 7.0);
+}
+
+TYPED_TEST(PolicyTest, ReducerReusedAcrossLoopsAccumulates) {
+  raja::ReduceSum<double> sum(0.5);
+  raja::forall<TypeParam>(raja::RangeSegment(0, 1000),
+                          [=](long) { sum += 1.0; });
+  EXPECT_DOUBLE_EQ(sum.get(), 1000.5);
+  raja::kernel_2d<TypeParam>(raja::RangeSegment(0, 10),
+                             raja::RangeSegment(0, 30),
+                             [=](long, long) { sum += 2.0; });
+  EXPECT_DOUBLE_EQ(sum.get(), 1600.5);
+}
+
 TEST(RangeSegment, Accessors) {
   const raja::RangeSegment seg(3, 11);
   EXPECT_EQ(seg.begin(), 3);
@@ -104,6 +140,64 @@ TEST(Reducer, IndependentInstancesDoNotInterfere) {
     EXPECT_DOUBLE_EQ(b.get(), 128.0);
   }
   EXPECT_DOUBLE_EQ(a.get(), 64.0);
+}
+
+// A 4-rank fold must give the same bits whatever order the OS threads were
+// created in: each rank's partial is its static block summed in index order,
+// and partials fold in rank order.  Terms of mixed magnitude make any other
+// order visible in the last bits.
+TEST(Reducer, FourRankFoldIsIndependentOfThreadCreationOrder) {
+  constexpr long kN = 4001;
+  std::vector<double> values(kN);
+  for (long i = 0; i < kN; ++i) {
+    values[static_cast<std::size_t>(i)] =
+        (i % 3 == 0 ? 1.0e8 : 1.0e-3) / static_cast<double>(i + 1);
+  }
+  double expected = 0.0;
+  for (int rank = 0; rank < 4; ++rank) {
+    const tlp::StaticRange r = tlp::static_partition(0, kN, rank, 4);
+    double partial = 0.0;
+    for (long i = r.begin; i < r.end; ++i) {
+      partial += values[static_cast<std::size_t>(i)];
+    }
+    expected += partial;
+  }
+
+  const double* v = values.data();
+  const auto fold_on = [&](tlp::ThreadPool& pool) {
+    raja::ReduceSum<double> sum(0.0);
+    raja::forall<raja::omp_parallel_for_exec>(
+        &pool, raja::RangeSegment(0, kN), [=](long i) { sum += v[i]; });
+    return sum.get();
+  };
+  const auto bits = [](double d) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &d, sizeof u);
+    return u;
+  };
+
+  tlp::ThreadPool first(4);
+  const double a = fold_on(first);
+  // Throwaway threads shift every thread-id-based slot assignment.
+  for (int k = 0; k < 7; ++k) std::thread([] {}).join();
+  tlp::ThreadPool second(4);
+  const double b = fold_on(second);
+  EXPECT_EQ(bits(a), bits(expected));
+  EXPECT_EQ(bits(b), bits(expected));
+}
+
+TEST(Forall, RunsOnTheGivenPool) {
+  tlp::ThreadPool pool(3);
+  std::vector<std::thread::id> ran(3);
+  raja::forall<raja::omp_parallel_for_exec>(
+      &pool, raja::RangeSegment(0, 3), [&](long i) {
+        ran[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+      });
+  // One index per rank: three distinct threads, the caller being rank 0.
+  EXPECT_EQ(ran[0], std::this_thread::get_id());
+  EXPECT_NE(ran[1], ran[0]);
+  EXPECT_NE(ran[2], ran[0]);
+  EXPECT_NE(ran[2], ran[1]);
 }
 
 TEST(Forall, DeviceWritesDeviceMemory) {

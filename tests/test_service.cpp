@@ -271,6 +271,57 @@ TEST(SolveService, BatchedSolvesMatchSequentialBitwise) {
   EXPECT_EQ(stats.arena.reused, 2);
 }
 
+TEST(SolveService, HostVariantsSolveOnTheirShardPools) {
+  // Regression: raja-omp, kokkos-omp and manual-acc-cpu ignored the shard's
+  // pool and forked on the process-global one, where two shards dispatching
+  // at once hung.  On their shard pools every request completes, bitwise
+  // equal to a sequential solve at the shard's thread count.
+  const std::vector<tl::ProblemConfig> problems = {
+      tiny_problem(24, 1), tiny_problem(32, 1), tiny_problem(28, 2),
+      tiny_problem(36, 1)};
+  for (const char* variant : {"raja-omp", "kokkos-omp", "manual-acc-cpu"}) {
+    service::ServiceOptions options = portable_options();
+    options.default_variant = variant;
+    tea::RunOptions run_options;
+    run_options.threads = options.threads_per_worker;
+    std::vector<tea::RunResult> references;
+    for (const tl::ProblemConfig& problem : problems) {
+      references.push_back(
+          tea::run_simulation(variant, problem, run_options));
+    }
+
+    service::SolveService daemon(options);
+    daemon.start();
+    std::vector<service::Ticket> tickets;
+    for (int round = 0; round < 2; ++round) {
+      for (std::size_t p = 0; p < problems.size(); ++p) {
+        service::SolveRequest request;
+        request.label = std::string(variant) + "-" + std::to_string(p);
+        request.problem = problems[p];
+        tickets.push_back(daemon.submit(request));
+        ASSERT_NE(tickets.back(), nullptr);
+      }
+    }
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+      const service::SolveResponse response = daemon.wait(tickets[i]);
+      const tea::RunResult& reference = references[i % problems.size()];
+      ASSERT_TRUE(response.ok()) << variant << ": " << response.error;
+      EXPECT_EQ(response.variant, variant);
+      EXPECT_EQ(response.iterations, reference.total_iterations) << variant;
+      EXPECT_EQ(response.initial_rr, reference.steps.front().solve.initial_rr)
+          << variant;
+      EXPECT_EQ(response.final_rr, reference.steps.back().solve.final_rr)
+          << variant;
+      EXPECT_EQ(response.final_temperature, reference.final_summary.temp)
+          << variant;
+    }
+    daemon.shutdown();
+    EXPECT_EQ(daemon.stats().completed,
+              static_cast<long>(tickets.size()))
+        << variant;
+  }
+}
+
 TEST(SolveService, ConcurrentSubmittersAllGetResponses) {
   service::ServiceOptions options = portable_options();
   options.queue_capacity = 4;  // small: forces rejections under contention

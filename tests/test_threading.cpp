@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -186,6 +187,41 @@ TEST(Barrier, SynchronizesPhases) {
 
 TEST(Barrier, RejectsNonPositiveCount) {
   EXPECT_THROW(tlp::Barrier(0), tl::Error);
+}
+
+TEST(ThreadPool, ConcurrentDispatchFailsClosed) {
+  // A second dispatcher while a region is in flight must be refused, not
+  // allowed to overwrite the first region's job under its workers.
+  tlp::ThreadPool pool(2);
+  std::atomic<bool> inside{false};
+  std::atomic<bool> release{false};
+  std::thread first([&] {
+    pool.parallel_region([&](int tid, int) {
+      if (tid != 0) return;
+      inside = true;
+      while (!release) std::this_thread::yield();
+    });
+  });
+  while (!inside) std::this_thread::yield();
+  EXPECT_THROW(pool.parallel_region([](int, int) {}), tl::Error);
+  release = true;
+  first.join();
+
+  // The refused dispatch leaves the pool usable.
+  std::atomic<int> ran{0};
+  pool.parallel_region([&](int, int) { ++ran; });
+  EXPECT_EQ(ran.load(), 2);
+}
+
+TEST(ThreadPool, NestedDispatchOnOnePoolFailsClosed) {
+  tlp::ThreadPool pool(2);
+  EXPECT_THROW(pool.parallel_region([&](int tid, int) {
+                 if (tid == 0) pool.parallel_region([](int, int) {});
+               }),
+               tl::Error);
+  std::atomic<int> ran{0};
+  pool.parallel_region([&](int, int) { ++ran; });
+  EXPECT_EQ(ran.load(), 2);
 }
 
 TEST(ThreadId, StablePerThreadAndDistinct) {
