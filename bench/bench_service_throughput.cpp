@@ -12,24 +12,26 @@
 // bench-smoke gates the kernel benches.  Wall-clock statistics stay
 // machine-local and get a loose tolerance instead.
 //
+// Both modes run the one replay driver (service::run_replay) and differ only
+// in the Submitter: in-process cases submit straight to the SolveService;
+// `--net` puts the same service behind a poll-based net::Server on a Unix
+// socket in-process, and N concurrent client connections (TEA_SERVICE_CONNS,
+// default 2) replay the population through the framed protocol.  A row's
+// `timing` samples and `p99_s` are both the driver's client-observed
+// latencies (first submit -> reply collected).
+//
 // The counter delta is captured around the WHOLE replay: instrumentation is
 // process-global, so per-request deltas under concurrent workers would
-// interleave, but the replay-wide total is independent of scheduling.
-//
-// `--net` switches the replay onto the wire: the same service runs behind a
-// poll-based net::Server on a Unix socket in-process, and N concurrent
-// client connections (TEA_SERVICE_CONNS, default 2) replay the population
-// through the framed protocol.  Counters stay process-global, so the
-// whole-replay delta still captures every solve — and since the solve set
-// is the same deterministic population per connection, the counter totals
-// gate exactly in CI (bench/baselines/net_smoke.json) just like the
-// in-process rows do.
+// interleave, but the replay-wide total is independent of scheduling — and
+// since the solve set is the same deterministic population per connection,
+// the --net totals gate exactly too (bench/baselines/net_smoke.json).
 //
 // Env knobs: TEA_SERVICE_SEED (default 3), TEA_SERVICE_COUNT (3),
 // TEA_SERVICE_REPEAT (4), TEA_SERVICE_WORKERS (2), TEA_SERVICE_THREADS (2),
 // TEA_SERVICE_CONNS (2, --net only).
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -39,7 +41,7 @@
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "machine/instrumentation.hpp"
-#include "net/replay.hpp"
+#include "net/client.hpp"
 #include "net/server.hpp"
 #include "results/result_store.hpp"
 #include "service/replay.hpp"
@@ -55,6 +57,7 @@ long env_long(const char* name, long fallback) {
 struct CaseResult {
   std::string name;
   service::ReplayReport report;
+  service::ServiceStats stats;  // service counters at replay end
   results::ResultRow row;
 };
 
@@ -86,88 +89,54 @@ results::ResultRow case_row(const std::string& mode, const std::string& name,
   return row;
 }
 
+/// Replay one case through the service, in-process or (connections > 0)
+/// through a Unix-socket server with that many client connections.
 CaseResult run_case(const std::string& name, const gen::GenOptions& gen_options,
-                    int repeats, const service::ServiceOptions& svc_options) {
+                    int repeats, const service::ServiceOptions& svc_options,
+                    int connections) {
   CaseResult out;
   out.name = name;
   const std::vector<service::SolveRequest> requests =
       service::requests_from_gen(gen_options);
+  const bool wire = connections > 0;
 
   service::SolveService daemon(svc_options, nullptr);
+  std::unique_ptr<net::Server> server;
+  std::thread io_thread;
+  service::ReplayOptions options;
+  options.repeats = repeats;
+  service::Connect connect = service::in_process(daemon);
+  if (wire) {
+    net::ServerOptions server_options;
+    server_options.address = "unix:/tmp/tead_bench_" +
+                             std::to_string(::getpid()) + "_" + name + ".sock";
+    server = std::make_unique<net::Server>(daemon, server_options);
+    server->open();
+    io_thread = std::thread([&server] { server->run(); });
+    options.connections = connections;
+    connect = net::over_wire(server->address().to_string());
+  }
+
   const machine::CounterScope scope;  // whole-replay delta (see header note)
-  out.report = service::run_replay(daemon, requests, repeats);
+  out.report = service::run_replay(connect, requests, options);
+  if (wire) {
+    server->request_stop();
+    io_thread.join();
+  }
   daemon.shutdown();
+  out.stats = daemon.stats();
 
   results::ResultRow row =
-      case_row("service-replay", name, requests, repeats, svc_options, 0);
-
-  std::vector<double> latencies;
+      case_row(wire ? "service-net" : "service-replay", name, requests,
+               repeats, svc_options, connections);
   bool all_converged = !out.report.responses.empty();
   for (const service::SolveResponse& response : out.report.responses) {
-    latencies.push_back(response.latency_seconds);
     row.iterations += response.iterations;
     row.inner_iterations += response.inner_iterations;
     all_converged = all_converged && response.ok() && response.converged;
   }
   row.converged = all_converged;
-  row.timing = results::TimingStats::from_samples(latencies);
-  row.p99_s = out.report.p99_s;
-  row.throughput_sps = out.report.throughput_sps;
-  row.counters = scope.delta();
-  out.row = row;
-  return out;
-}
-
-/// The --net variant of run_case: same service, same population, but the
-/// traffic crosses a Unix socket through `connections` concurrent clients.
-CaseResult run_net_case(const std::string& name,
-                        const gen::GenOptions& gen_options, int repeats,
-                        const service::ServiceOptions& svc_options,
-                        int connections) {
-  CaseResult out;
-  out.name = name;
-  const std::vector<service::SolveRequest> requests =
-      service::requests_from_gen(gen_options);
-
-  service::SolveService daemon(svc_options, nullptr);
-  net::ServerOptions server_options;
-  server_options.address = "unix:/tmp/tead_bench_" +
-                           std::to_string(::getpid()) + "_" + name + ".sock";
-  net::Server server(daemon, server_options);
-  server.open();
-  std::thread io_thread([&server] { server.run(); });
-
-  const machine::CounterScope scope;  // whole-replay delta (see header note)
-  net::NetReplayOptions replay_options;
-  replay_options.connections = connections;
-  replay_options.repeats = repeats;
-  const net::NetReplayReport net_report = net::run_net_replay(
-      server.address().to_string(), requests, replay_options);
-  server.request_stop();
-  io_thread.join();
-
-  // Reuse the in-process report shape so one table renders both modes.
-  out.report.responses = net_report.responses;
-  out.report.wall_seconds = net_report.wall_seconds;
-  out.report.throughput_sps = net_report.throughput_sps;
-  out.report.p50_s = net_report.p50_s;
-  out.report.p99_s = net_report.p99_s;
-  out.report.backpressure_rejects = net_report.busy_retries;
-  out.report.stats = daemon.stats();
-  daemon.shutdown();
-
-  results::ResultRow row = case_row("service-net", name, requests, repeats,
-                                    svc_options, connections);
-  std::vector<double> latencies;
-  bool all_converged = !out.report.responses.empty();
-  for (const service::SolveResponse& response : out.report.responses) {
-    latencies.push_back(response.latency_seconds);
-    row.iterations += response.iterations;
-    row.inner_iterations += response.inner_iterations;
-    all_converged = all_converged && response.ok() && response.converged;
-  }
-  row.converged = all_converged;
-  row.timing = results::TimingStats::from_samples(latencies);
+  row.timing = results::TimingStats::from_samples(out.report.latencies);
   row.p99_s = out.report.p99_s;
   row.throughput_sps = out.report.throughput_sps;
   row.counters = scope.delta();
@@ -189,11 +158,13 @@ int main(int argc, char** argv) {
   svc_options.workers = static_cast<int>(env_long("TEA_SERVICE_WORKERS", 2));
   svc_options.threads_per_worker =
       static_cast<int>(env_long("TEA_SERVICE_THREADS", 2));
-  svc_options.queue_capacity = 8;  // small bound: exercises backpressure
+  // Small bound: the --net rows' connections overrun it (busy retries); an
+  // in-process row's single window of 8 stays within it.
+  svc_options.queue_capacity = 8;
   svc_options.max_batch = 4;
   svc_options.enable_tuning = false;  // portable mode — see header comment
   const int connections =
-      static_cast<int>(env_long("TEA_SERVICE_CONNS", 2));
+      net_mode ? static_cast<int>(env_long("TEA_SERVICE_CONNS", 2)) : 0;
 
   std::printf("== Service throughput: seeded %s replay (seed %llu, %d decks x "
               "%d repeats, %d workers x %d threads%s) ==\n",
@@ -208,18 +179,13 @@ int main(int argc, char** argv) {
   std::vector<CaseResult> cases;
   gen::GenOptions stress_options = gen_options;
   stress_options.stress = true;  // the tail-latency case
-  if (net_mode) {
-    cases.push_back(
-        run_net_case("gen", gen_options, repeats, svc_options, connections));
-    cases.push_back(run_net_case("stress", stress_options, repeats,
-                                 svc_options, connections));
-  } else {
-    cases.push_back(run_case("gen", gen_options, repeats, svc_options));
-    cases.push_back(run_case("stress", stress_options, repeats, svc_options));
-  }
+  cases.push_back(
+      run_case("gen", gen_options, repeats, svc_options, connections));
+  cases.push_back(
+      run_case("stress", stress_options, repeats, svc_options, connections));
 
   tl::Table table({"case", "solves", "solves/s", "p50 ms", "p99 ms",
-                   "iters", "conv", "batches", "arena reuse", "rejects"});
+                   "iters", "conv", "batches", "arena reuse", "busy retries"});
   for (const CaseResult& c : cases) {
     table.add_row(
         {c.name, std::to_string(c.report.responses.size()),
@@ -227,9 +193,9 @@ int main(int argc, char** argv) {
          tl::Table::num(c.report.p50_s * 1e3, 2),
          tl::Table::num(c.report.p99_s * 1e3, 2),
          std::to_string(c.row.iterations), c.row.converged ? "yes" : "NO",
-         std::to_string(c.report.stats.batches),
-         std::to_string(c.report.stats.arena.reused),
-         std::to_string(c.report.backpressure_rejects)});
+         std::to_string(c.stats.batches),
+         std::to_string(c.stats.arena.reused),
+         std::to_string(c.report.busy_retries)});
   }
   std::printf("%s\n", table.to_ascii().c_str());
 

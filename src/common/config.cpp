@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -32,6 +33,18 @@ double parse_finite(std::string_view s, const std::string& what) {
   return v;
 }
 
+// Integer deck values are stored as int: a value outside int's range would
+// otherwise wrap silently (x_cells=4294967306 would load as 10 cells).
+int parse_int(std::string_view s, const std::string& what) {
+  const long v = parse_long(s);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw ConfigError(what + " is out of range, got '" + std::string(trim(s)) +
+                      "'");
+  }
+  return static_cast<int>(v);
+}
+
 Geometry parse_geometry(const std::string& v) {
   const std::string g = to_lower(v);
   if (g == "rectangle") return Geometry::kRectangle;
@@ -43,7 +56,7 @@ Geometry parse_geometry(const std::string& v) {
 StateConfig parse_state_line(const std::vector<std::string>& tokens) {
   if (tokens.size() < 2) throw ConfigError("state line missing index");
   StateConfig st;
-  st.index = static_cast<int>(parse_long(tokens[1]));
+  st.index = parse_int(tokens[1], "state index");
   for (std::size_t i = 2; i < tokens.size(); ++i) {
     const auto kv = split(tokens[i], '=');
     if (kv.size() != 2) {
@@ -147,24 +160,24 @@ Config Config::parse(const std::string& text) {
       }
       cfg.raw_[key] = kv.size() == 2 ? kv[1] : "true";
 
-      if (key == "x_cells") p.x_cells = static_cast<int>(parse_long(val));
-      else if (key == "y_cells") p.y_cells = static_cast<int>(parse_long(val));
+      if (key == "x_cells") p.x_cells = parse_int(val, key);
+      else if (key == "y_cells") p.y_cells = parse_int(val, key);
       else if (key == "xmin") p.xmin = parse_finite(val, key);
       else if (key == "xmax") p.xmax = parse_finite(val, key);
       else if (key == "ymin") p.ymin = parse_finite(val, key);
       else if (key == "ymax") p.ymax = parse_finite(val, key);
       else if (key == "initial_timestep") p.initial_timestep = parse_finite(val, key);
-      else if (key == "end_step") p.end_step = static_cast<int>(parse_long(val));
-      else if (key == "tl_max_iters") p.max_iters = static_cast<int>(parse_long(val));
+      else if (key == "end_step") p.end_step = parse_int(val, key);
+      else if (key == "tl_max_iters") p.max_iters = parse_int(val, key);
       else if (key == "tl_eps") p.eps = parse_finite(val, key);
       else if (key == "tl_use_jacobi") p.solver = SolverKind::kJacobi;
       else if (key == "tl_use_cg") p.solver = SolverKind::kCg;
       else if (key == "tl_use_chebyshev") p.solver = SolverKind::kCheby;
       else if (key == "tl_use_ppcg") p.solver = SolverKind::kPpcg;
       else if (key == "tl_ppcg_inner_steps")
-        p.ppcg_inner_steps = static_cast<int>(parse_long(val));
+        p.ppcg_inner_steps = parse_int(val, key);
       else if (key == "tl_cheby_cg_presteps")
-        p.cheby_cg_presteps = static_cast<int>(parse_long(val));
+        p.cheby_cg_presteps = parse_int(val, key);
       else if (key == "tl_coefficient_density")
         p.coefficient = CoefficientKind::kDensity;
       else if (key == "tl_coefficient_recip_density")
@@ -180,7 +193,7 @@ Config Config::parse(const std::string& text) {
         else throw ConfigError("unknown preconditioner '" + v + "'");
       }
       else if (key == "check_result") p.check_result = parse_bool(val);
-      else if (key == "halo_depth") p.halo_depth = static_cast<int>(parse_long(val));
+      else if (key == "halo_depth") p.halo_depth = parse_int(val, key);
       else if (key == "test_problem" || key == "profiler_on" ||
                key == "visit_frequency" || key == "summary_frequency") {
         // Accepted-and-ignored keys from upstream decks.

@@ -22,20 +22,6 @@ public:
   using Error::Error;
 };
 
-/// Raised when a solver fails to converge within its iteration budget.
-class ConvergenceError : public Error {
-public:
-  ConvergenceError(std::string what, int iterations, double residual)
-      : Error(std::move(what)), iterations_(iterations), residual_(residual) {}
-
-  int iterations() const noexcept { return iterations_; }
-  double residual() const noexcept { return residual_; }
-
-private:
-  int iterations_;
-  double residual_;
-};
-
 /// Raised on simulated-device misuse (bad copies, exhausted device memory).
 class DeviceError : public Error {
 public:

@@ -1,12 +1,9 @@
-// timer.hpp — wall-clock stopwatch and a named-section timer registry, used by
-// the driver to report the per-kernel breakdown the original TeaLeaf prints.
+// timer.hpp — the monotonic wall-clock stopwatch behind the repo's wall
+// times: the driver's run time, service solve times, sweep timings and the
+// replay driver's wall clock.
 #pragma once
 
 #include <chrono>
-#include <map>
-#include <mutex>
-#include <string>
-#include <vector>
 
 namespace tl {
 
@@ -25,51 +22,6 @@ public:
 private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulates wall time per named section.  Thread-safe for concurrent
-/// section completion (per-backend kernels may finish on worker threads).
-class TimerRegistry {
-public:
-  void add(const std::string& name, double seconds);
-
-  /// Total accumulated seconds for `name` (0 if never recorded).
-  double total(const std::string& name) const;
-
-  /// Number of times `name` was recorded.
-  long count(const std::string& name) const;
-
-  /// All section names in insertion-independent (sorted) order.
-  std::vector<std::string> names() const;
-
-  void clear();
-
-  /// Render "name: total s (count calls)" lines.
-  std::string report() const;
-
-private:
-  struct Entry {
-    double total = 0.0;
-    long count = 0;
-  };
-  mutable std::mutex mutex_;
-  std::map<std::string, Entry> entries_;
-};
-
-/// RAII helper: times a scope into a registry section.
-class ScopedTimer {
-public:
-  ScopedTimer(TimerRegistry& registry, std::string name)
-      : registry_(registry), name_(std::move(name)) {}
-  ~ScopedTimer() { registry_.add(name_, watch_.seconds()); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-private:
-  TimerRegistry& registry_;
-  std::string name_;
-  StopWatch watch_;
 };
 
 }  // namespace tl

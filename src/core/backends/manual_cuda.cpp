@@ -306,10 +306,4 @@ void ManualCudaBackend::read_field(FieldId f, tl::span<double> out) {
   }
 }
 
-void ManualCudaBackend::download_field(FieldId f, FieldStore& host) const {
-  const auto& buf = fields_[static_cast<std::size_t>(f)];
-  const std::size_t padded = static_cast<std::size_t>(geom_.padded_cells());
-  buf->download(tl::span<double>(host.padded(f), padded));
-}
-
 }  // namespace tea

@@ -43,10 +43,6 @@ public:
   }
   void read_field(FieldId f, tl::span<double> out) override;
 
-  /// Download one field's interior into a host FieldStore (tests use this to
-  /// compare against the reference backend).
-  void download_field(FieldId f, FieldStore& host) const;
-
 private:
   CellView dv(FieldId f) const;
 

@@ -49,16 +49,19 @@ bool backend_has_fused_operator_dot(const std::string& id) {
 
 std::unique_ptr<Backend> make_backend(const std::string& id,
                                       tlp::ThreadPool* pool,
-                                      const RunOptions& opts) {
+                                      const RunOptions& opts,
+                                      FieldArena* arena) {
   if (backend_is_distributed(id)) {
     throw tl::Error("backend '" + id +
                     "' is distributed; use run_simulation for SPMD variants");
   }
   if (id == "serial") {
-    return std::make_unique<ManualHostBackend>("serial", nullptr, nullptr);
+    return std::make_unique<ManualHostBackend>("serial", nullptr, nullptr,
+                                               arena);
   }
   if (id == "manual-omp") {
-    return std::make_unique<ManualHostBackend>("manual-omp", pool, nullptr);
+    return std::make_unique<ManualHostBackend>("manual-omp", pool, nullptr,
+                                               arena);
   }
   if (id == "manual-cuda") {
     simgpu::default_device().set_block_size(opts.gpu_block_x, opts.gpu_block_y);
@@ -105,15 +108,13 @@ std::unique_ptr<Backend> make_backend(const std::string& id,
   throw tl::Error("unknown backend id '" + id + "'");
 }
 
-namespace {
-
-/// Capacity of a run-local simulated device, from the machine model (GiB
-/// semantics, matching simgpu::Device's default).
 std::size_t device_capacity_bytes() {
   const double gb = machine::device_machine().mem_capacity_gb;
   if (!(gb > 0.0)) return std::size_t(16) << 30;
   return static_cast<std::size_t>(gb) << 30;
 }
+
+namespace {
 
 /// Build a rank-local backend for the distributed variants.
 std::unique_ptr<Backend> make_rank_backend(const std::string& id,

@@ -4,11 +4,13 @@
 // distributed variants need.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/backends/field_arena.hpp"
 #include "core/driver.hpp"
 #include "miniops/context.hpp"
 #include "threading/thread_pool.hpp"
@@ -52,11 +54,18 @@ bool backend_has_fused_operator_dot(const std::string& id);
 /// through simgpu::default_device(), so callers owning a private Device (the
 /// solve service's worker shards) install a simgpu::DeviceScope around both
 /// this call and every use of the returned backend, including its
-/// destruction.  Throws tl::Error for distributed ids — those need the SPMD
-/// world run_simulation owns.
+/// destruction.  A non-null `arena` pools the field slab across backends
+/// (the manual host family, serial and manual-omp; other ids ignore it) and
+/// must outlive the backend.  Throws tl::Error for distributed ids — those
+/// need the SPMD world run_simulation owns.
 std::unique_ptr<Backend> make_backend(const std::string& id,
                                       tlp::ThreadPool* pool,
-                                      const RunOptions& options);
+                                      const RunOptions& options,
+                                      FieldArena* arena = nullptr);
+
+/// Capacity of a simulated device sized from the machine model (GiB
+/// semantics, matching simgpu::Device's default).
+std::size_t device_capacity_bytes();
 
 /// Run the full TeaLeaf time-marching simulation for `id` on `cfg`.
 /// Handles SPMD world creation for distributed variants; returns rank 0's

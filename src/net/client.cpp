@@ -2,6 +2,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <memory>
+#include <utility>
 #include <sys/socket.h>
 
 #include "common/error.hpp"
@@ -79,6 +81,33 @@ service::ServiceStats Client::stats() {
     WireReply decoded = decode_reply(reply);
     stashed_.emplace(decoded.id, std::move(decoded));
   }
+}
+
+namespace {
+
+/// The wire Submitter: one Client connection.
+class ClientSubmitter final : public service::Submitter {
+ public:
+  explicit ClientSubmitter(const std::string& address) : client_(address) {}
+
+  std::optional<std::uint64_t> submit(
+      const service::SolveRequest& request) override {
+    return client_.submit(request.problem, request.label);
+  }
+
+  service::Reply wait(std::uint64_t id) override {
+    WireReply reply = client_.wait(id);
+    return {reply.busy, std::move(reply.response)};
+  }
+
+ private:
+  Client client_;
+};
+
+}  // namespace
+
+service::Connect over_wire(const std::string& address) {
+  return [address] { return std::make_unique<ClientSubmitter>(address); };
 }
 
 }  // namespace net

@@ -9,8 +9,8 @@
 // response.error.  Transport failures and connection-level protocol errors
 // throw tl::Error.
 //
-// Not thread-safe: one Client per thread (net::run_net_replay opens one per
-// connection thread).
+// Not thread-safe: one Client per thread.  over_wire() adapts Clients to
+// service::run_replay, which opens one per connection thread.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
+#include "service/replay.hpp"
 #include "service/service.hpp"
 
 namespace net {
@@ -43,9 +44,6 @@ class Client {
   /// Round-trip a STATS query.
   service::ServiceStats stats();
 
-  void close() { fd_.reset(); }
-  bool connected() const { return fd_.valid(); }
-
  private:
   /// Read and decode one frame (blocking).  Throws tl::Error on EOF and
   /// ProtocolError on malformed frames.
@@ -56,5 +54,9 @@ class Client {
   std::uint64_t next_id_ = 1;
   std::map<std::uint64_t, WireReply> stashed_;
 };
+
+/// Connect for service::run_replay over the wire: every connection opens
+/// its own Client to `address`, and a BUSY frame is a BUSY reply.
+service::Connect over_wire(const std::string& address);
 
 }  // namespace net

@@ -12,7 +12,7 @@
 // Backpressure: admission control stays at the service's bounded queue.
 // When submit() refuses, the request is answered with a BUSY frame —
 // never a dropped connection, never a hang — and the client retries
-// (net::run_net_replay and teactl both do).
+// (service::run_replay does, through net::over_wire).
 //
 // Pipelining: clients may send any number of requests without reading.
 // Replies carry the request id and are written in *completion* order;

@@ -54,11 +54,22 @@ private:
     return false;
   }
 
+  // Containers recurse; an unbounded nesting depth would let 1 MiB of '['
+  // overflow the stack.  Real documents (stores, plans, frames) nest < 10.
+  static constexpr int kMaxDepth = 64;
+
   Json parse_value() {
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        ++depth_;
+        Json v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -255,6 +266,7 @@ private:
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 void append_escaped(std::string& out, const std::string& s) {

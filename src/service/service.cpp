@@ -7,9 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "core/backends/manual_host.hpp"
 #include "core/driver.hpp"
-#include "machine/machine_model.hpp"
 #include "tuning/plan.hpp"
 
 namespace service {
@@ -19,14 +17,6 @@ namespace {
 double seconds_between(std::chrono::steady_clock::time_point from,
                        std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
-}
-
-/// Shard-device capacity from the machine model (GiB semantics, matching
-/// simgpu::Device's default).
-std::size_t shard_device_capacity() {
-  const double gb = machine::device_machine().mem_capacity_gb;
-  if (!(gb > 0.0)) return std::size_t(16) << 30;
-  return static_cast<std::size_t>(gb) << 30;
 }
 
 }  // namespace
@@ -77,8 +67,8 @@ void SolveService::start() {
     auto worker = std::make_unique<Worker>();
     worker->pool =
         std::make_unique<tlp::ThreadPool>(std::max(1, options_.threads_per_worker));
-    worker->device = std::make_unique<simgpu::Device>(shard_device_capacity(),
-                                                      worker->pool.get());
+    worker->device = std::make_unique<simgpu::Device>(
+        tea::device_capacity_bytes(), worker->pool.get());
     Worker* raw = worker.get();
     worker->thread = std::thread([this, raw] { worker_loop(*raw); });
     workers_.push_back(std::move(worker));
@@ -144,36 +134,26 @@ SolveService::ResolvedPlan SolveService::resolve(
 
 tea::RunResult SolveService::execute(const ResolvedPlan& plan,
                                      Worker& worker) {
-  // Host-family variants run through the worker's own shard: its pool for
-  // threading, its arena for the field slab.
-  if (plan.variant == "serial" || plan.variant == "manual-omp") {
-    const tea::TeaDriver driver(plan.problem);
-    tea::ManualHostBackend backend(
-        plan.variant, plan.variant == "serial" ? nullptr : worker.pool.get(),
-        nullptr, &worker.arena);
-    backend.set_fused_operator_dot(plan.run.fuse_operator_dot);
-    return driver.run(backend);
-  }
-  // Every other shared-memory variant — device-variant plans included —
-  // also executes on the shard: its pool runs the kernels, and a
-  // DeviceScope binds this worker thread to the shard's own Device for the
-  // whole backend lifetime (construction, kernels, destruction), so
-  // concurrent shards never share device state.
-  if (!tea::backend_is_distributed(plan.variant)) {
-    const tea::TeaDriver driver(plan.problem);
-    std::optional<simgpu::DeviceScope> device_scope;
-    if (tea::backend_is_gpu(plan.variant)) {
-      device_scope.emplace(worker.device.get());
-    }
-    const auto backend =
-        tea::make_backend(plan.variant, worker.pool.get(), plan.run);
-    backend->set_fused_operator_dot(plan.run.fuse_operator_dot);
-    return driver.run(*backend);
-  }
   // Distributed winners need run_simulation's SPMD world; counted so
   // deployments can see plans escaping the shard path.
-  fallback_solves_.fetch_add(1, std::memory_order_relaxed);
-  return tea::run_simulation(plan.variant, plan.problem, plan.run);
+  if (tea::backend_is_distributed(plan.variant)) {
+    fallback_solves_.fetch_add(1, std::memory_order_relaxed);
+    return tea::run_simulation(plan.variant, plan.problem, plan.run);
+  }
+  // Every shared-memory variant executes on the shard: its pool runs the
+  // kernels, its arena pools the manual host family's field slab, and for
+  // device variants a DeviceScope binds this worker thread to the shard's
+  // own Device for the whole backend lifetime (construction, kernels,
+  // destruction), so concurrent shards never share device state.
+  const tea::TeaDriver driver(plan.problem);
+  std::optional<simgpu::DeviceScope> device_scope;
+  if (tea::backend_is_gpu(plan.variant)) {
+    device_scope.emplace(worker.device.get());
+  }
+  const auto backend = tea::make_backend(plan.variant, worker.pool.get(),
+                                         plan.run, &worker.arena);
+  backend->set_fused_operator_dot(plan.run.fuse_operator_dot);
+  return driver.run(*backend);
 }
 
 void SolveService::worker_loop(Worker& worker) {

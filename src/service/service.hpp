@@ -16,8 +16,14 @@
 // re-touched by the pool that first touched them and there is no allocator
 // contention between workers; device-variant plans run against the shard's
 // own Device (bound via simgpu::DeviceScope), so concurrent shards never
-// interleave device allocations or serialize on one device mutex.  One
-// consequence, documented here deliberately: the service runs a tuned
+// interleave device allocations or serialize on one device mutex.  Every
+// shared-memory variant is built through one call, tea::make_backend(
+// variant, shard pool, run options, shard arena): the manual host family
+// draws its field slab from the arena, the other variants ignore it.  Only
+// distributed winners fall back to run_simulation's own SPMD world (counted
+// in ServiceStats.fallback_solves).
+//
+// One consequence, documented here deliberately: the service runs a tuned
 // plan's *variant/solver/preconditioner/fusion* choice but executes
 // shared-memory variants on the worker's fixed-size pool rather than the
 // plan's measured thread count — worker shard sizes are a deployment
@@ -25,16 +31,17 @@
 // bitwise reproducible at a fixed thread count but can differ in the last
 // bits (and occasionally by an iteration) between thread counts: a
 // response equals a sequential run_simulation at the shard's thread count,
-// not at the plan's (perfbench/NOTES.md, "Known defect").  Only distributed winners still fall back to
-// run_simulation's own SPMD world (counted in ServiceStats.fallback_solves).
+// not at the plan's (perfbench/NOTES.md, "Known defect").
 //
 // Determinism contract (asserted by tests/test_service.cpp): a batched
 // solve is bit-identical to the same problem solved sequentially at the
 // shard's thread count — batching amortises plan resolution and
 // allocation, never changes numerics.
 //
-// Library-first: tests and benches drive SolveService in-process;
-// tools/tead.cpp is a thin CLI frontend over run_replay (replay.hpp).
+// Library-first: tests, benches and tools/tead.cpp drive SolveService
+// through the one replay driver, service::run_replay (replay.hpp), whose
+// in-process submitter reports a refused submit() for the driver to retry
+// and throws once admits() is false.
 #pragma once
 
 #include <atomic>
@@ -156,6 +163,12 @@ public:
 
   /// Block until `ticket`'s solve completes and return its response.
   SolveResponse wait(const Ticket& ticket) const;
+
+  /// False once submit() can never succeed again: the service is shut down
+  /// or its queue capacity is 0.
+  bool admits() const {
+    return options_.queue_capacity > 0 && !queue_.closed();
+  }
 
   /// Spawn the worker shards (idempotent).
   void start();

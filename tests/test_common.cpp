@@ -293,24 +293,6 @@ TEST(AlignedBuffer, Span2DViewChecksBounds) {
 
 // --- timer ------------------------------------------------------------------
 
-TEST(Timer, RegistryAccumulates) {
-  tl::TimerRegistry reg;
-  reg.add("solve", 1.0);
-  reg.add("solve", 0.5);
-  reg.add("halo", 0.25);
-  EXPECT_DOUBLE_EQ(reg.total("solve"), 1.5);
-  EXPECT_EQ(reg.count("solve"), 2);
-  EXPECT_DOUBLE_EQ(reg.total("missing"), 0.0);
-  EXPECT_EQ(reg.names(), (std::vector<std::string>{"halo", "solve"}));
-}
-
-TEST(Timer, ScopedTimerRecords) {
-  tl::TimerRegistry reg;
-  { tl::ScopedTimer t(reg, "scope"); }
-  EXPECT_EQ(reg.count("scope"), 1);
-  EXPECT_GE(reg.total("scope"), 0.0);
-}
-
 TEST(Timer, StopWatchMonotonic) {
   tl::StopWatch w;
   const double a = w.seconds();

@@ -5,6 +5,9 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "common/config.hpp"
 #include "core/registry.hpp"
@@ -311,6 +314,48 @@ TEST(Decks, MalformedValuesAreRejected) {
   // Semantic validation after a clean parse.
   EXPECT_THROW(tl::Config::parse(deck("x_cells=-4")), tl::ConfigError);
   EXPECT_THROW(tl::Config::parse(deck("halo_depth=0")), tl::ConfigError);
+}
+
+TEST(Decks, OutOfRangeIntegersAreRejected) {
+  // Integer keys are stored as int.  4294967306 is 2^32 + 10: a narrowing
+  // cast used to load it as 10 cells, solving a different problem under
+  // the caller's label.
+  std::ifstream file(decks_dir() / "tea_bm_1.in");
+  ASSERT_TRUE(file.good());
+  std::stringstream text;
+  text << file.rdbuf();
+  std::string bm1 = text.str();
+  const std::string cells = "x_cells=10";
+  const auto at = bm1.find(cells);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(tl::Config::parse(bm1).problem().x_cells, 10);
+  bm1.replace(at, cells.size(), "x_cells=4294967306");
+  EXPECT_THROW(tl::Config::parse(bm1), tl::ConfigError);
+
+  const auto deck = [](const std::string& line) {
+    return "*tea\nstate 1 density=1 energy=1\n" + line + "\n*endtea";
+  };
+  for (const std::string key :
+       {"x_cells", "y_cells", "end_step", "tl_max_iters",
+        "tl_ppcg_inner_steps", "tl_cheby_cg_presteps", "halo_depth"}) {
+    EXPECT_THROW(tl::Config::parse(deck(key + "=4294967306")),
+                 tl::ConfigError)
+        << key;
+    EXPECT_THROW(tl::Config::parse(deck(key + "=-4294967306")),
+                 tl::ConfigError)
+        << key;
+    EXPECT_THROW(tl::Config::parse(deck(key + "=99999999999999999999")),
+                 tl::ConfigError)
+        << key;
+  }
+  EXPECT_THROW(tl::Config::parse("*tea\nstate 4294967297 density=1 "
+                                 "energy=1\n*endtea"),
+               tl::ConfigError);
+  // The int range itself still loads.
+  EXPECT_EQ(tl::Config::parse(deck("tl_max_iters=2147483647"))
+                .problem()
+                .max_iters,
+            2147483647);
 }
 
 TEST(Decks, NonFiniteValuesAreRejected) {

@@ -20,7 +20,6 @@
 #include "common/error.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
-#include "net/replay.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "results/result_store.hpp"
@@ -358,6 +357,20 @@ TEST(NetProtocol, DecodeRejectsMissingFields) {
   EXPECT_THROW(net::decode_reply(frame), tl::ConfigError);
 }
 
+TEST(NetProtocol, DeeplyNestedRequestIsAStructuredError) {
+  // A max-size frame of '[' with a valid checksum: the decoder must refuse
+  // it with a parse error instead of overflowing the stack.
+  const std::string payload(net::kMaxPayloadBytes, '[');
+  net::FrameReader reader;
+  const std::string bytes =
+      net::encode_frame(net::FrameType::kRequest, payload);
+  reader.feed(bytes.data(), bytes.size());
+  net::Frame frame;
+  ASSERT_TRUE(reader.next(frame));
+  ASSERT_EQ(frame.payload.size(), payload.size());
+  EXPECT_THROW(net::decode_request(frame.payload), tl::ConfigError);
+}
+
 // ---------------------------------------------------------------------------
 // Server end-to-end
 // ---------------------------------------------------------------------------
@@ -501,6 +514,26 @@ TEST(NetServer, MalformedStreamGetsErrorFrameThenClose) {
   EXPECT_FALSE(read_frame_blocking(fd.get(), reader, frame));
 }
 
+TEST(NetServer, DeeplyNestedRequestIsRefusedAndServerSurvives) {
+  TestServer server("nested.sock");
+  net::Fd fd = net::connect_to(net::parse_address(server.address()));
+  const std::string bytes = net::encode_frame(
+      net::FrameType::kRequest, std::string(net::kMaxPayloadBytes, '['));
+  net::send_all(fd.get(), bytes.data(), bytes.size());
+
+  net::FrameReader reader;
+  net::Frame frame;
+  ASSERT_TRUE(read_frame_blocking(fd.get(), reader, frame));
+  EXPECT_EQ(frame.type, net::FrameType::kError);
+  const net::WireReply reply = net::decode_reply(frame);
+  EXPECT_NE(reply.response.error.find("nesting deeper than"),
+            std::string::npos)
+      << reply.response.error;
+  // The daemon is still serving.
+  net::Client client(server.address());
+  EXPECT_TRUE(client.solve(tiny_problem(16, 1), "after").response.ok());
+}
+
 TEST(NetServer, BadDeckAnswersPerRequestErrorAndKeepsConnection) {
   TestServer server("baddeck.sock");
   net::Fd fd = net::connect_to(net::parse_address(server.address()));
@@ -559,12 +592,12 @@ TEST(NetServer, NetReplayDriverRetriesBusyAndPreservesOrder) {
   const std::vector<service::SolveRequest> requests =
       service::requests_from_gen(gen_options);
 
-  net::NetReplayOptions options;
+  service::ReplayOptions options;
   options.connections = 2;
   options.repeats = 2;
   options.window = 8;  // deeper than the queue bound
-  const net::NetReplayReport report =
-      net::run_net_replay(server.address(), requests, options);
+  const service::ReplayReport report = service::run_replay(
+      net::over_wire(server.address()), requests, options);
   ASSERT_EQ(report.responses.size(),
             requests.size() * 2u * 2u);  // repeats x connections
   EXPECT_TRUE(report.all_ok());

@@ -60,6 +60,30 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(results::Json::parse("1 2"), tl::ConfigError);
 }
 
+TEST(Json, NestingDepthIsCappedNotAStackOverflow) {
+  // 1 MiB of '[' used to recurse once per byte and die with SIGSEGV;
+  // nested objects took the same path.
+  std::string objects;
+  while (objects.size() < (std::size_t(1) << 20)) objects += "{\"k\":";
+  for (const std::string& deep :
+       {std::string(std::size_t(1) << 20, '['), objects}) {
+    try {
+      results::Json::parse(deep);
+      FAIL() << "parsed 1 MiB of nesting starting " << deep.substr(0, 8);
+    } catch (const tl::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Nesting right at the cap still parses; one more level is refused.
+  const auto nested = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(results::Json::parse(nested(64)));
+  EXPECT_THROW(results::Json::parse(nested(65)), tl::ConfigError);
+}
+
 TEST(Json, RejectsMalformedNumbers) {
   for (const char* bad : {"[1-2]", "[1.2.3]", "[+1]", "[1.]", "[.5]", "[1e]",
                           "[1e+]", "[--1]", "[-]"}) {

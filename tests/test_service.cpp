@@ -5,12 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <map>
+#include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/error.hpp"
 #include "core/backends/field_arena.hpp"
 #include "core/registry.hpp"
 #include "results/result_store.hpp"
@@ -322,6 +329,32 @@ TEST(SolveService, HostVariantsSolveOnTheirShardPools) {
   }
 }
 
+TEST(SolveService, HostFamilySolvesReuseTheShardArena) {
+  // serial and manual-omp build their backend through make_backend with the
+  // shard's arena: repeated same-key solves on one shard allocate the field
+  // slab once and reuse it after that.
+  for (const char* variant : {"serial", "manual-omp"}) {
+    service::ServiceOptions options = portable_options();
+    options.workers = 1;
+    options.default_variant = variant;
+    service::SolveService daemon(options);
+    daemon.start();
+    service::SolveRequest request;
+    request.problem = tiny_problem(24, 1);
+    for (int i = 0; i < 3; ++i) {
+      const service::Ticket ticket = daemon.submit(request);
+      ASSERT_NE(ticket, nullptr);
+      const service::SolveResponse response = daemon.wait(ticket);
+      ASSERT_TRUE(response.ok()) << response.error;
+      EXPECT_EQ(response.variant, variant);
+    }
+    daemon.shutdown();
+    const service::ServiceStats stats = daemon.stats();
+    EXPECT_EQ(stats.arena.allocated, 1) << variant;
+    EXPECT_EQ(stats.arena.reused, 2) << variant;
+  }
+}
+
 TEST(SolveService, ConcurrentSubmittersAllGetResponses) {
   service::ServiceOptions options = portable_options();
   options.queue_capacity = 4;  // small: forces rejections under contention
@@ -372,16 +405,123 @@ TEST(SolveService, ReplayAppliesBackpressureAndServesEverything) {
   requests[0].problem = tiny_problem(24, 1);
   requests[1].label = "b";
   requests[1].problem = tiny_problem(32, 1);
-  const service::ReplayReport report =
-      service::run_replay(daemon, requests, 4);
+  service::ReplayOptions replay_options;
+  replay_options.repeats = 4;
+  replay_options.window = 8;  // never binds: the queue bound refuses first
+  const service::ReplayReport report = service::run_replay(
+      service::in_process(daemon), requests, replay_options);
   daemon.shutdown();
   EXPECT_EQ(report.responses.size(), 8u);
+  EXPECT_EQ(report.latencies.size(), 8u);
   EXPECT_TRUE(report.all_ok());
   EXPECT_GT(report.throughput_sps, 0.0);
   EXPECT_GE(report.p99_s, report.p50_s);
   // Responses come back in submission order.
   EXPECT_EQ(report.responses.front().label, "a");
   EXPECT_EQ(report.responses.back().label, "b");
+}
+
+TEST(SolveService, ReplayFailsClosedWhenTheServiceAdmitsNothing) {
+  // A refusal with nothing in flight is only worth retrying while the
+  // service can still admit: shut down or zero capacity is an error, not
+  // an endless back-off.
+  std::vector<service::SolveRequest> requests(1);
+  requests[0].problem = tiny_problem(16, 1);
+  service::SolveService shut(portable_options());
+  shut.shutdown();
+  EXPECT_FALSE(shut.admits());
+  EXPECT_THROW(service::run_replay(service::in_process(shut), requests, {}),
+               tl::Error);
+
+  service::ServiceOptions options = portable_options();
+  options.queue_capacity = 0;
+  service::SolveService closed(options);
+  EXPECT_FALSE(closed.admits());
+  EXPECT_THROW(service::run_replay(service::in_process(closed), requests, {}),
+               tl::Error);
+  EXPECT_EQ(closed.stats().rejected, 1);
+}
+
+/// A scripted Submitter: refuses the first `refusals[label]` submissions
+/// of each label (resubmissions included) and otherwise echoes the label
+/// back as an immediate response.  Labels in `on_the_spot` are refused by
+/// submit() itself, the others by a BUSY reply from wait().
+class FakeSubmitter final : public service::Submitter {
+ public:
+  FakeSubmitter(std::map<std::string, int> refusals,
+                std::set<std::string> on_the_spot, std::atomic<int>* submits)
+      : refusals_(std::move(refusals)),
+        on_the_spot_(std::move(on_the_spot)),
+        submits_(submits) {}
+  std::optional<std::uint64_t> submit(
+      const service::SolveRequest& request) override {
+    submits_->fetch_add(1);
+    int& refusals = refusals_[request.label];
+    const bool busy = refusals > 0;
+    if (busy) --refusals;
+    if (busy && on_the_spot_.count(request.label) > 0) return std::nullopt;
+    replies_[next_id_].busy = busy;
+    replies_[next_id_].response.label = request.label;
+    return next_id_++;
+  }
+  service::Reply wait(std::uint64_t id) override {
+    const service::Reply reply = replies_.at(id);
+    replies_.erase(id);
+    return reply;
+  }
+
+ private:
+  std::map<std::string, int> refusals_;
+  std::set<std::string> on_the_spot_;
+  std::atomic<int>* submits_;
+  std::uint64_t next_id_ = 1;
+  std::map<std::uint64_t, service::Reply> replies_;
+};
+
+TEST(Replay, DriverRetriesBusyAndKeepsOrderAcrossConnections) {
+  std::vector<service::SolveRequest> requests(3);
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    requests[i].label = "r" + std::to_string(i);
+  std::atomic<int> submits{0};
+  std::atomic<int> opened{0};
+  // The first connection opened refuses r0 twice in a row by BUSY reply and
+  // r2 once on the spot; the second refuses r2 once on the spot.  Four
+  // retries whatever the window.
+  const service::Connect connect = [&submits, &opened] {
+    std::map<std::string, int> refusals = {{"r2", 1}};
+    if (opened.fetch_add(1) == 0) refusals["r0"] = 2;
+    return std::make_unique<FakeSubmitter>(std::move(refusals),
+                                           std::set<std::string>{"r2"},
+                                           &submits);
+  };
+  for (const int window : {1, 2, 100}) {
+    submits = 0;
+    opened = 0;
+    service::ReplayOptions options;
+    options.connections = 2;
+    options.repeats = 2;
+    options.window = window;
+    const service::ReplayReport report =
+        service::run_replay(connect, requests, options);
+    ASSERT_EQ(report.responses.size(), 12u) << "window " << window;
+    ASSERT_EQ(report.latencies.size(), 12u);
+    EXPECT_TRUE(report.all_ok());
+    EXPECT_EQ(report.busy_retries, 4) << "window " << window;
+    EXPECT_EQ(submits.load(), 12 + 4) << "window " << window;
+    // Each connection's block is the request list twice, in order.
+    for (std::size_t i = 0; i < report.responses.size(); ++i)
+      EXPECT_EQ(report.responses[i].label, requests[i % 3].label)
+          << "slot " << i << ", window " << window;
+    for (const double latency : report.latencies) EXPECT_GE(latency, 0.0);
+  }
+}
+
+TEST(Replay, ConnectionFailureIsReported) {
+  const service::Connect connect = []() -> std::unique_ptr<service::Submitter> {
+    throw tl::Error("no route");
+  };
+  std::vector<service::SolveRequest> requests(1);
+  EXPECT_THROW(service::run_replay(connect, requests, {}), tl::Error);
 }
 
 TEST(Replay, PercentilesAreNearestRank) {
@@ -525,8 +665,10 @@ TEST(SolveService, TunedModeCachesPlansPerProblem) {
   std::vector<service::SolveRequest> requests(1);
   requests[0].label = "tuned";
   requests[0].problem = tiny_problem(24, 1);
-  const service::ReplayReport report =
-      service::run_replay(daemon, requests, 3);
+  service::ReplayOptions replay_options;
+  replay_options.repeats = 3;
+  const service::ReplayReport report = service::run_replay(
+      service::in_process(daemon), requests, replay_options);
   daemon.shutdown();
   ASSERT_TRUE(report.all_ok());
   const service::ServiceStats stats = daemon.stats();

@@ -1,8 +1,9 @@
 // teactl — remote control for a running `tead --listen` daemon.
 //
 // Submits solve traffic (deck files and/or seeded generated populations)
-// and stats queries over the framed wire protocol (src/net) and renders the
-// same tables tead prints for in-process replays.  `--out` writes the
+// over the framed wire protocol (src/net) through the same replay driver
+// and table tead uses in-process (service::run_replay,
+// tools::print_replay), and queries the daemon's stats.  `--out` writes the
 // deterministic golden quantities of every response as JSON — the file the
 // net-smoke CI gate byte-compares against the in-process replay of the same
 // population to prove a networked solve changes nothing.
@@ -14,16 +15,12 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/config.hpp"
 #include "common/error.hpp"
-#include "common/string_util.hpp"
-#include "common/table.hpp"
 #include "net/client.hpp"
-#include "net/replay.hpp"
+#include "replay_cli.hpp"
 #include "service/replay.hpp"
 
 namespace {
@@ -55,62 +52,21 @@ int usage() {
   return 2;
 }
 
-std::string fmt_ms(double seconds) { return tl::Table::num(seconds * 1e3, 2); }
-
 int run_solve(const tl::Cli& cli, const std::string& address) {
-  std::vector<service::SolveRequest> requests;
-  if (const auto decks = cli.get("decks")) {
-    for (const std::string& path : tl::split(*decks, ',')) {
-      service::SolveRequest request;
-      request.label = path;
-      request.problem = tl::Config::load(path).problem();
-      requests.push_back(std::move(request));
-    }
-  }
-  if (cli.has("gen-seed")) {
-    gen::GenOptions gen_options;
-    gen_options.seed = static_cast<std::uint64_t>(cli.get_long("gen-seed", 1));
-    gen_options.count = static_cast<int>(cli.get_long("gen-count", 4));
-    gen_options.stress = cli.has("stress");
-    for (service::SolveRequest& request :
-         service::requests_from_gen(gen_options))
-      requests.push_back(std::move(request));
-  }
+  const std::vector<service::SolveRequest> requests =
+      tools::requests_from_cli(cli);
   if (requests.empty()) {
     std::fprintf(stderr, "teactl: no traffic (need --decks or --gen-seed)\n");
     return usage();
   }
 
-  net::NetReplayOptions options;
+  service::ReplayOptions options;
   options.connections = static_cast<int>(cli.get_long("connections", 1));
   options.repeats = static_cast<int>(cli.get_long("repeat", 1));
   options.window = static_cast<int>(cli.get_long("window", 8));
-  const net::NetReplayReport report =
-      net::run_net_replay(address, requests, options);
-
-  tl::Table table({"request", "variant", "conv", "iters", "batch", "queue_ms",
-                   "solve_ms", "latency_ms"});
-  for (const service::SolveResponse& response : report.responses) {
-    if (!response.ok()) {
-      std::fprintf(stderr, "teactl: %s failed: %s\n", response.label.c_str(),
-                   response.error.c_str());
-      continue;
-    }
-    table.add_row({response.label, response.variant,
-                   response.converged ? "yes" : "NO",
-                   std::to_string(response.iterations),
-                   std::to_string(response.batch_size),
-                   fmt_ms(response.queue_seconds),
-                   fmt_ms(response.solve_seconds),
-                   fmt_ms(response.latency_seconds)});
-  }
-  std::printf("%s\n", table.to_ascii().c_str());
-  std::printf(
-      "net replay: %zu responses over %d connection(s) in %.3f s  "
-      "(%.2f solves/s, client p50 %.2f ms, p99 %.2f ms, %ld busy retries)\n",
-      report.responses.size(), options.connections, report.wall_seconds,
-      report.throughput_sps, report.p50_s * 1e3, report.p99_s * 1e3,
-      report.busy_retries);
+  const service::ReplayReport report =
+      service::run_replay(net::over_wire(address), requests, options);
+  tools::print_replay("teactl", report, options);
 
   if (const auto out = cli.get("out")) {
     std::ofstream file(*out, std::ios::binary);

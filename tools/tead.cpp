@@ -2,29 +2,27 @@
 //
 // Two modes.  The replay mode builds a request list (deck files and/or a
 // seeded generated population), replays it through an in-process
-// SolveService, and prints the per-request outcomes plus the service
-// counters: throughput, latency percentiles, plan-cache hits/misses/tunes
-// and field-arena reuse.  The daemon mode (`--listen unix:<path>` /
-// `tcp:<host>:<port>`) serves the same SolveService to remote clients over
-// the framed wire protocol (src/net) until SIGINT/SIGTERM, which triggers a
-// clean drain: listener closed first, in-flight requests answered, then
-// shutdown — never process teardown mid-solve.  Everything the daemon does
-// is library code exercised identically by the tests and benches; this
-// binary only parses flags and renders tables (see docs/SERVICE.md).
+// SolveService with service::run_replay, and prints the per-request
+// outcomes plus the service counters: throughput, latency percentiles,
+// plan-cache hits/misses/tunes and field-arena reuse.  The daemon mode
+// (`--listen unix:<path>` / `tcp:<host>:<port>`) serves the same
+// SolveService to remote clients over the framed wire protocol (src/net)
+// until SIGINT/SIGTERM, which triggers a clean drain: listener closed
+// first, in-flight requests answered, then shutdown — never process
+// teardown mid-solve.  Everything the daemon does is library code
+// exercised identically by the tests and benches; this binary only parses
+// flags and renders tables (see docs/SERVICE.md).
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/harness.hpp"
 #include "common/cli.hpp"
-#include "common/config.hpp"
 #include "common/error.hpp"
-#include "common/string_util.hpp"
-#include "common/table.hpp"
 #include "net/server.hpp"
 #include "results/result_store.hpp"
+#include "replay_cli.hpp"
 #include "service/replay.hpp"
 #include "service/service.hpp"
 
@@ -67,10 +65,6 @@ int usage() {
       "                     'none' disables persistence)\n"
       "  --cache-capacity N plan-cache LRU bound (default 32)\n");
   return 2;
-}
-
-std::string fmt_ms(double seconds) {
-  return tl::Table::num(seconds * 1e3, 2);
 }
 
 /// Serve the wire protocol until SIGINT/SIGTERM requests a clean drain.
@@ -120,32 +114,13 @@ int run_daemon(const std::string& listen_address,
 int main(int argc, char** argv) {
   const tl::Cli cli(argc, argv);
   try {
-    // Traffic.
-    std::vector<service::SolveRequest> requests;
-    if (const auto decks = cli.get("decks")) {
-      for (const std::string& path : tl::split(*decks, ',')) {
-        service::SolveRequest request;
-        request.label = path;
-        request.problem = tl::Config::load(path).problem();
-        requests.push_back(std::move(request));
-      }
-    }
-    if (cli.has("gen-seed")) {
-      gen::GenOptions gen_options;
-      gen_options.seed =
-          static_cast<std::uint64_t>(cli.get_long("gen-seed", 1));
-      gen_options.count = static_cast<int>(cli.get_long("gen-count", 4));
-      gen_options.stress = cli.has("stress");
-      for (service::SolveRequest& request :
-           service::requests_from_gen(gen_options))
-        requests.push_back(std::move(request));
-    }
+    const std::vector<service::SolveRequest> requests =
+        tools::requests_from_cli(cli);
     const bool listen = cli.has("listen");
     if (requests.empty() && !listen) {
       std::fprintf(stderr, "tead: no traffic (need --decks or --gen-seed)\n");
       return usage();
     }
-    const int repeats = static_cast<int>(cli.get_long("repeat", 1));
 
     // Service.
     service::ServiceOptions options;
@@ -171,11 +146,16 @@ int main(int argc, char** argv) {
       return run_daemon(cli.get_or("listen", ""), cli, options, store,
                         store_path);
 
+    service::ReplayOptions replay_options;
+    replay_options.repeats = static_cast<int>(cli.get_long("repeat", 1));
     service::ReplayReport report;
+    service::ServiceStats stats;
     {
       service::SolveService daemon(options, &store);
-      report = service::run_replay(daemon, requests, repeats);
+      report = service::run_replay(service::in_process(daemon), requests,
+                                   replay_options);
       daemon.shutdown();  // persists the plan cache
+      stats = daemon.stats();
     }
     if (options.enable_tuning) store.save(store_path);
     if (const auto out = cli.get("out")) {
@@ -184,30 +164,7 @@ int main(int argc, char** argv) {
       file << service::golden_responses_json(report.responses);
     }
 
-    tl::Table table({"request", "variant", "conv", "iters", "batch",
-                     "queue_ms", "solve_ms", "latency_ms"});
-    for (const service::SolveResponse& response : report.responses) {
-      if (!response.ok()) {
-        std::fprintf(stderr, "tead: %s failed: %s\n", response.label.c_str(),
-                     response.error.c_str());
-        continue;
-      }
-      table.add_row({response.label, response.variant,
-                     response.converged ? "yes" : "NO",
-                     std::to_string(response.iterations),
-                     std::to_string(response.batch_size),
-                     fmt_ms(response.queue_seconds),
-                     fmt_ms(response.solve_seconds),
-                     fmt_ms(response.latency_seconds)});
-    }
-    std::printf("%s\n", table.to_ascii().c_str());
-
-    const service::ServiceStats& stats = report.stats;
-    std::printf(
-        "replay: %zu responses in %.3f s  (%.2f solves/s, p50 %.2f ms, "
-        "p99 %.2f ms, %ld backpressure rejects)\n",
-        report.responses.size(), report.wall_seconds, report.throughput_sps,
-        report.p50_s * 1e3, report.p99_s * 1e3, report.backpressure_rejects);
+    tools::print_replay("tead", report, replay_options);
     std::printf(
         "service: %ld batches (%ld batched solves), plan cache %ld hits / "
         "%ld misses / %ld tunes / %ld evictions, arena %ld allocated / "
