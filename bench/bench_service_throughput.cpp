@@ -20,11 +20,11 @@
 // `timing` samples and `p99_s` are both the driver's client-observed
 // latencies (first submit -> reply collected).
 //
-// The counter delta is captured around the WHOLE replay: instrumentation is
-// process-global, so per-request deltas under concurrent workers would
-// interleave, but the replay-wide total is independent of scheduling — and
-// since the solve set is the same deterministic population per connection,
-// the --net totals gate exactly too (bench/baselines/net_smoke.json).
+// A row's counters are the service's own sink (ServiceStats::counters):
+// everything its workers charged, and nothing else the process ran.  The
+// total is independent of scheduling — and since the solve set is the same
+// deterministic population per connection, the --net totals gate exactly
+// too (bench/baselines/net_smoke.json).
 //
 // Env knobs: TEA_SERVICE_SEED (default 3), TEA_SERVICE_COUNT (3),
 // TEA_SERVICE_REPEAT (4), TEA_SERVICE_WORKERS (2), TEA_SERVICE_THREADS (2),
@@ -40,7 +40,6 @@
 #include "bench/harness.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
-#include "machine/instrumentation.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "results/result_store.hpp"
@@ -117,7 +116,6 @@ CaseResult run_case(const std::string& name, const gen::GenOptions& gen_options,
     connect = net::over_wire(server->address().to_string());
   }
 
-  const machine::CounterScope scope;  // whole-replay delta (see header note)
   out.report = service::run_replay(connect, requests, options);
   if (wire) {
     server->request_stop();
@@ -139,7 +137,7 @@ CaseResult run_case(const std::string& name, const gen::GenOptions& gen_options,
   row.timing = results::TimingStats::from_samples(out.report.latencies);
   row.p99_s = out.report.p99_s;
   row.throughput_sps = out.report.throughput_sps;
-  row.counters = scope.delta();
+  row.counters = out.stats.counters;
   out.row = row;
   return out;
 }

@@ -19,13 +19,9 @@
 
 namespace tea {
 
-/// Phases of the driver's deterministic counter window (TeaDriver::run
-/// brackets its CounterScope with Backend::counter_fence calls).
-enum class CounterFence {
-  kReady,  // pre-open: every rank reports setup complete to rank 0
-  kGo,     // post-open: rank 0 releases the ranks into the counted region
-  kDone,   // pre-close: every rank's report is its final counter charge
-};
+/// Phases of the retired cross-rank counter fence; nothing calls
+/// Backend::counter_fence.  Kept while perfbench's TimedBackend names it.
+enum class CounterFence { kReady, kGo, kDone };
 
 class Backend {
 public:
@@ -156,17 +152,13 @@ public:
   /// MCDRAM-capacity rule); global (all ranks).
   virtual std::int64_t working_set_bytes() const = 0;
 
-  /// True on the instance that owns process-global event counters (rank 0 of
-  /// a distributed run; always for shared-memory variants).  Keeps logical
-  /// launch/iteration counts from being multiplied by the rank count.
+  /// True on the instance that charges logical events (launches,
+  /// reductions, halo exchanges, iterations) for the whole run: rank 0, or
+  /// any shared-memory variant.  run_simulation sums every rank's counts,
+  /// so this keeps them from being multiplied by the rank count.
   virtual bool counts_globally() const { return true; }
 
-  /// Rank synchronisation bracketing the driver's counter window.  Counters
-  /// are process-global, so rank 0's CounterScope delta is only deterministic
-  /// if no sibling rank charges before the window opens (kReady happens-before
-  /// the open, kGo happens-after) or after it closes (a rank's kDone token is
-  /// its final charge, collected by rank 0 before the close).  Shared-memory
-  /// backends have no sibling ranks — the default is a no-op.
+  /// Uncalled no-op (see CounterFence).
   virtual void counter_fence(CounterFence) {}
 
   // --- field access (visualisation, tests) ------------------------------------

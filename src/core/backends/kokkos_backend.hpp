@@ -324,8 +324,7 @@ public:
             f(at(i, ny + k)) = f(at(i, ny - 1 - k));
           });
     }
-    machine::Instrumentation::global().add_halo_exchange(
-        static_cast<std::int64_t>(fields.size()));
+    machine::sink().add_halo_exchange(static_cast<std::int64_t>(fields.size()));
   }
 
   void finalise() override {
@@ -383,7 +382,7 @@ private:
 
   void charge(const ref::KernelCost& c) const {
     const std::int64_t cells = static_cast<std::int64_t>(nx_) * ny_;
-    machine::Instrumentation::global().add_traffic(
+    machine::sink().add_traffic(
         cells * 8 * c.reads, cells * 8 * c.writes, cells * c.flops);
   }
 

@@ -13,8 +13,6 @@
 namespace tea {
 
 namespace {
-machine::Instrumentation& instr() { return machine::Instrumentation::global(); }
-
 // --- band kernels ------------------------------------------------------------
 //
 // Each hot kernel runs as a free function over a row band [j0, j1), shifting
@@ -202,11 +200,12 @@ TL_TARGET_CLONES SummaryQuad summary_band(ConstCellView density,
 void charge_kernel(const PartitionGeom& g, const ref::KernelCost& c,
                    minimpi::Comm* comm, bool is_reduction = false) {
   const std::int64_t cells = g.cells();
-  instr().add_traffic(cells * 8 * c.reads, cells * 8 * c.writes,
-                      cells * c.flops);
+  machine::Instrumentation& counts = machine::sink();
+  counts.add_traffic(cells * 8 * c.reads, cells * 8 * c.writes,
+                     cells * c.flops);
   if (comm == nullptr || comm->rank() == 0) {
-    instr().add_launch();
-    if (is_reduction) instr().add_reduction();
+    counts.add_launch();
+    if (is_reduction) counts.add_reduction();
   }
 }
 
@@ -588,10 +587,6 @@ void ManualHostBackend::update_halo(std::initializer_list<FieldId> fields,
   for (const FieldId f : fields) {
     exchange_and_reflect(store_->view(f), geom(), comm_, cart_.get(), depth);
   }
-}
-
-void ManualHostBackend::counter_fence(CounterFence phase) {
-  if (comm_ != nullptr) tea::counter_fence(*comm_, phase);
 }
 
 void ManualHostBackend::finalise() {

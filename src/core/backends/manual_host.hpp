@@ -65,7 +65,6 @@ public:
   bool counts_globally() const override {
     return comm_ == nullptr || comm_->rank() == 0;
   }
-  void counter_fence(CounterFence phase) override;
   LocalExtent local_extent() const override;
   void read_field(FieldId f, tl::span<double> out) override;
 

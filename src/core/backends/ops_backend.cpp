@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "core/backends/ref_kernels.hpp"
-#include "core/halo.hpp"
 #include "core/problem.hpp"
 
 namespace tea {
@@ -276,10 +275,6 @@ std::int64_t OpsBackend::working_set_bytes() const {
   }
   if (ctx_->comm() != nullptr) local *= ctx_->comm()->size();
   return local;
-}
-
-void OpsBackend::counter_fence(CounterFence phase) {
-  if (ctx_->comm() != nullptr) tea::counter_fence(*ctx_->comm(), phase);
 }
 
 tea::Backend::LocalExtent OpsBackend::local_extent() const {

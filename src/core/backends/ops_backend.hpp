@@ -49,7 +49,6 @@ public:
   bool counts_globally() const override {
     return ctx_->comm() == nullptr || ctx_->comm()->rank() == 0;
   }
-  void counter_fence(CounterFence phase) override;
   LocalExtent local_extent() const override;
   void read_field(FieldId f, tl::span<double> out) override;
 

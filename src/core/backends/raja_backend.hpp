@@ -324,8 +324,7 @@ public:
         f(i, ny + k) = f(i, ny - 1 - k);
       });
     }
-    machine::Instrumentation::global().add_halo_exchange(
-        static_cast<std::int64_t>(fields.size()));
+    machine::sink().add_halo_exchange(static_cast<std::int64_t>(fields.size()));
   }
 
   void finalise() override {
@@ -395,15 +394,16 @@ private:
 
   void charge(const ref::KernelCost& c) const {
     const std::int64_t cells = static_cast<std::int64_t>(nx_) * ny_;
-    machine::Instrumentation::global().add_traffic(
+    machine::sink().add_traffic(
         cells * 8 * c.reads, cells * 8 * c.writes, cells * c.flops);
   }
 
   void charge_reduction() const {
-    machine::Instrumentation::global().add_reduction();
+    machine::Instrumentation& counts = machine::sink();
+    counts.add_reduction();
     if constexpr (Storage::on_device) {
       // A device-policy reducer reads its result back over PCIe.
-      machine::Instrumentation::global().add_d2h(8);
+      counts.add_d2h(8);
     }
   }
 

@@ -15,15 +15,10 @@ RunResult TeaDriver::run(Backend& backend) const {
   const double rx = dt / (cfg_.dx() * cfg_.dx());
   const double ry = dt / (cfg_.dy() * cfg_.dy());
 
-  // Deterministic counter window: every rank has finished setup before the
-  // scope opens (kReady), no rank charges before rank 0's scope exists (kGo),
-  // and every rank's final charge precedes the close (kDone).  Without the
-  // fences, rank 0's delta over the process-global counters would race with
-  // sibling ranks still in setup or still forwarding the final broadcast.
-  backend.counter_fence(CounterFence::kReady);
+  // This instance's counts after setup; a distributed run's ranks each
+  // open their own scope and run_simulation sums them.
   const machine::CounterScope counter_scope;
   const tl::StopWatch watch;
-  backend.counter_fence(CounterFence::kGo);
 
   for (int step = 1; step <= cfg_.end_step; ++step) {
     backend.set_rx_ry(rx, ry);
@@ -35,8 +30,7 @@ RunResult TeaDriver::run(Backend& backend) const {
     sr.dt = dt;
     sr.solve = solve(backend, cfg_.solver, solve_options);
     if (backend.counts_globally()) {
-      machine::Instrumentation::global().add_solver_iterations(
-          sr.solve.iterations);
+      machine::sink().add_solver_iterations(sr.solve.iterations);
     }
 
     backend.finalise();
@@ -47,7 +41,6 @@ RunResult TeaDriver::run(Backend& backend) const {
     result.steps.push_back(sr);
   }
 
-  backend.counter_fence(CounterFence::kDone);
   result.wall_seconds = watch.seconds();
   result.counters = counter_scope.delta();
   result.final_summary = result.steps.back().summary;

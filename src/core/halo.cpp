@@ -14,10 +14,6 @@ constexpr minimpi::Tag kTagToLeft = 4001;
 constexpr minimpi::Tag kTagToRight = 4002;
 constexpr minimpi::Tag kTagToDown = 4003;
 constexpr minimpi::Tag kTagToUp = 4004;
-// Counter-window fence tokens (tea::counter_fence).  At most one token per
-// (pair, direction) is ever in flight — rank 0 drains a phase completely
-// before any rank can enter the next — so one tag serves all three phases.
-constexpr minimpi::Tag kTagFence = 4005;
 
 enum Direction { kLeft = 0, kRight = 1, kDown = 2, kUp = 3 };
 }  // namespace
@@ -132,7 +128,7 @@ void HaloExchange::finish() {
     if (cart_->down() != minimpi::kProcNull) moved += 2 * y_msg;
     if (cart_->up() != minimpi::kProcNull) moved += 2 * y_msg;
     const std::int64_t bytes = moved * static_cast<std::int64_t>(sizeof(double));
-    machine::Instrumentation::global().add_traffic(bytes, bytes, 0);
+    machine::sink().add_traffic(bytes, bytes, 0);
   }
 
   const bool xlo = cart_ == nullptr || cart_->left() == minimpi::kProcNull;
@@ -142,7 +138,7 @@ void HaloExchange::finish() {
   ref::reflect_halo(f_, nx, ny, depth_, xlo, xhi, ylo, yhi);
 
   if (comm_ == nullptr || comm_->rank() == 0) {
-    machine::Instrumentation::global().add_halo_exchange();
+    machine::sink().add_halo_exchange();
   }
 }
 
@@ -152,27 +148,6 @@ void exchange_and_reflect(CellView f, const PartitionGeom& geom,
   HaloExchange hx(f, geom, comm, cart, depth);
   hx.begin();
   hx.finish();
-}
-
-void counter_fence(minimpi::Comm& comm, CounterFence phase) {
-  const int n = comm.size();
-  if (n <= 1) return;
-  const char token = 0;
-  if (phase == CounterFence::kGo) {
-    if (comm.rank() == 0) {
-      for (int r = 1; r < n; ++r) comm.send_value(token, r, kTagFence);
-    } else {
-      (void)comm.recv_value<char>(0, kTagFence);
-    }
-    return;
-  }
-  // kReady / kDone fan in: a rank's token is sequenced after everything it
-  // charged in the phase, and rank 0 cannot proceed until it holds them all.
-  if (comm.rank() == 0) {
-    for (int r = 1; r < n; ++r) (void)comm.recv_value<char>(r, kTagFence);
-  } else {
-    comm.send_value(token, 0, kTagFence);
-  }
 }
 
 }  // namespace tea

@@ -19,7 +19,6 @@
 
 #include <vector>
 
-#include "core/backend.hpp"
 #include "core/backends/field_store.hpp"
 #include "minimpi/cart.hpp"
 #include "minimpi/comm.hpp"
@@ -60,11 +59,5 @@ private:
 void exchange_and_reflect(CellView f, const PartitionGeom& geom,
                           minimpi::Comm* comm, const minimpi::Cart2D* cart,
                           int depth);
-
-/// Backend::counter_fence over a communicator, shared by the minimpi-backed
-/// backends.  kReady and kDone fan a token in to rank 0 (the senders'
-/// charges are sequenced before rank 0 proceeds); kGo fans the release out
-/// from rank 0.  A one-rank world is a no-op.
-void counter_fence(minimpi::Comm& comm, CounterFence phase);
 
 }  // namespace tea

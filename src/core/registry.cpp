@@ -186,7 +186,8 @@ RunResult run_simulation(const std::string& id, const tl::ProblemConfig& cfg,
     return driver.run(*backend);
   }
 
-  // Distributed: one backend per rank, SPMD driver, rank 0's result wins.
+  // Distributed: one backend per rank, SPMD driver, rank 0's result wins
+  // except for the counters, which are the sum of every rank's scope.
   const int ranks = std::max(1, options.ranks);
   int per_rank_threads = options.hybrid_threads;
   if (per_rank_threads <= 0) {
@@ -197,6 +198,7 @@ RunResult run_simulation(const std::string& id, const tl::ProblemConfig& cfg,
   const bool hybrid = id == "manual-hybrid" || id == "ops-hybrid";
 
   RunResult result;
+  machine::Counters counters;
   std::mutex result_mutex;
   minimpi::run_world(ranks, [&](minimpi::Comm& comm) {
     std::unique_ptr<tlp::ThreadPool> rank_pool;
@@ -207,11 +209,11 @@ RunResult run_simulation(const std::string& id, const tl::ProblemConfig& cfg,
         make_rank_backend(id, comm, rank_pool.get(), options);
     backend->set_fused_operator_dot(options.fuse_operator_dot);
     RunResult rank_result = driver.run(*backend);
-    if (comm.rank() == 0) {
-      std::lock_guard<std::mutex> lock(result_mutex);
-      result = std::move(rank_result);
-    }
+    std::lock_guard<std::mutex> lock(result_mutex);
+    counters += rank_result.counters;
+    if (comm.rank() == 0) result = std::move(rank_result);
   });
+  result.counters = counters;
   return result;
 }
 

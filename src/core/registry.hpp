@@ -69,7 +69,9 @@ std::size_t device_capacity_bytes();
 
 /// Run the full TeaLeaf time-marching simulation for `id` on `cfg`.
 /// Handles SPMD world creation for distributed variants; returns rank 0's
-/// result (identical on all ranks up to reduction determinism).  GPU ids run
+/// result (identical on all ranks up to reduction determinism) with the
+/// counters of every rank summed.  The counters are this run's alone: they
+/// are charged to a scope bound to the run's own threads.  GPU ids run
 /// against a run-local simgpu::Device sized from the machine model, so
 /// concurrent callers never share device state.
 RunResult run_simulation(const std::string& id, const tl::ProblemConfig& cfg,

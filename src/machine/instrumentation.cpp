@@ -1,37 +1,29 @@
 #include "machine/instrumentation.hpp"
 
+#include <iterator>
 #include <sstream>
 
 namespace machine {
 
+namespace {
+// Counters' fields in declaration order (Instrumentation's slot order).
+constexpr std::int64_t Counters::*kFields[] = {
+    &Counters::bytes_read,      &Counters::bytes_written,
+    &Counters::flops,           &Counters::kernel_launches,
+    &Counters::reductions,      &Counters::messages,
+    &Counters::message_bytes,   &Counters::h2d_bytes,
+    &Counters::d2h_bytes,       &Counters::halo_exchanges,
+    &Counters::solver_iterations};
+}  // namespace
+
 Counters& Counters::operator+=(const Counters& o) {
-  bytes_read += o.bytes_read;
-  bytes_written += o.bytes_written;
-  flops += o.flops;
-  kernel_launches += o.kernel_launches;
-  reductions += o.reductions;
-  messages += o.messages;
-  message_bytes += o.message_bytes;
-  h2d_bytes += o.h2d_bytes;
-  d2h_bytes += o.d2h_bytes;
-  halo_exchanges += o.halo_exchanges;
-  solver_iterations += o.solver_iterations;
+  for (const auto field : kFields) this->*field += o.*field;
   return *this;
 }
 
 Counters Counters::operator-(const Counters& o) const {
-  Counters d;
-  d.bytes_read = bytes_read - o.bytes_read;
-  d.bytes_written = bytes_written - o.bytes_written;
-  d.flops = flops - o.flops;
-  d.kernel_launches = kernel_launches - o.kernel_launches;
-  d.reductions = reductions - o.reductions;
-  d.messages = messages - o.messages;
-  d.message_bytes = message_bytes - o.message_bytes;
-  d.h2d_bytes = h2d_bytes - o.h2d_bytes;
-  d.d2h_bytes = d2h_bytes - o.d2h_bytes;
-  d.halo_exchanges = halo_exchanges - o.halo_exchanges;
-  d.solver_iterations = solver_iterations - o.solver_iterations;
+  Counters d = *this;
+  for (const auto field : kFields) d.*field -= o.*field;
   return d;
 }
 
@@ -47,38 +39,31 @@ std::string Counters::to_string() const {
 }
 
 Instrumentation& Instrumentation::global() {
-  static Instrumentation instr;
-  return instr;
+  static Instrumentation root(nullptr);
+  return root;
 }
 
 Counters Instrumentation::snapshot() const {
+  static_assert(std::size(kFields) == kNumFields);
   Counters c;
-  c.bytes_read = bytes_read_.load(std::memory_order_relaxed);
-  c.bytes_written = bytes_written_.load(std::memory_order_relaxed);
-  c.flops = flops_.load(std::memory_order_relaxed);
-  c.kernel_launches = kernel_launches_.load(std::memory_order_relaxed);
-  c.reductions = reductions_.load(std::memory_order_relaxed);
-  c.messages = messages_.load(std::memory_order_relaxed);
-  c.message_bytes = message_bytes_.load(std::memory_order_relaxed);
-  c.h2d_bytes = h2d_bytes_.load(std::memory_order_relaxed);
-  c.d2h_bytes = d2h_bytes_.load(std::memory_order_relaxed);
-  c.halo_exchanges = halo_exchanges_.load(std::memory_order_relaxed);
-  c.solver_iterations = solver_iterations_.load(std::memory_order_relaxed);
+  for (int i = 0; i < kNumFields; ++i) {
+    c.*kFields[i] = counts_[i].load(std::memory_order_relaxed);
+  }
   return c;
 }
 
-void Instrumentation::reset() {
-  bytes_read_.store(0);
-  bytes_written_.store(0);
-  flops_.store(0);
-  kernel_launches_.store(0);
-  reductions_.store(0);
-  messages_.store(0);
-  message_bytes_.store(0);
-  h2d_bytes_.store(0);
-  d2h_bytes_.store(0);
-  halo_exchanges_.store(0);
-  solver_iterations_.store(0);
+namespace {
+thread_local Instrumentation* bound_sink = nullptr;
+}  // namespace
+
+Instrumentation& sink() {
+  return bound_sink != nullptr ? *bound_sink : Instrumentation::global();
 }
+
+SinkBinding::SinkBinding(Instrumentation& bound) : previous_(bound_sink) {
+  bound_sink = &bound;
+}
+
+SinkBinding::~SinkBinding() { bound_sink = previous_; }
 
 }  // namespace machine

@@ -5,6 +5,13 @@
 //
 // Counters are added once per kernel invocation (not per element), so the
 // overhead in hot loops is one handful of relaxed atomic adds per launch.
+//
+// Counts go to the calling thread's counter sink (machine::sink()), bound
+// for one execution the way simgpu::DeviceScope binds a device.  A charge
+// reaches that sink and every ancestor up to Instrumentation::global(), so a
+// CounterScope holds only its own execution's counts and global() stays the
+// process-wide total.  Kernels charge on the dispatching thread, never in a
+// pool worker's loop body, so pool dispatch binds nothing.
 #pragma once
 
 #include <atomic>
@@ -38,70 +45,85 @@ struct Counters {
   std::string to_string() const;
 };
 
-/// Thread-safe accumulating counter set.
+/// Thread-safe accumulating counter sink.  A sink built with the default
+/// constructor is a child of global(); a charge is added to the sink and to
+/// each of its ancestors.
 class Instrumentation {
 public:
-  /// Process-global instance used by all substrates.
+  Instrumentation() : Instrumentation(&global()) {}
+  explicit Instrumentation(Instrumentation* parent) : parent_(parent) {}
+
+  /// Root sink: the process-wide total of every charge.
   static Instrumentation& global();
 
   void add_traffic(std::int64_t read_bytes, std::int64_t written_bytes,
                    std::int64_t flops) {
-    bytes_read_.fetch_add(read_bytes, std::memory_order_relaxed);
-    bytes_written_.fetch_add(written_bytes, std::memory_order_relaxed);
-    flops_.fetch_add(flops, std::memory_order_relaxed);
+    add(kBytesRead, read_bytes);
+    add(kBytesWritten, written_bytes);
+    add(kFlops, flops);
   }
-  void add_launch(std::int64_t n = 1) {
-    kernel_launches_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_reduction(std::int64_t n = 1) {
-    reductions_.fetch_add(n, std::memory_order_relaxed);
-  }
+  void add_launch(std::int64_t n = 1) { add(kKernelLaunches, n); }
+  void add_reduction(std::int64_t n = 1) { add(kReductions, n); }
   void add_message(std::int64_t bytes) {
-    messages_.fetch_add(1, std::memory_order_relaxed);
-    message_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    add(kMessages, 1);
+    add(kMessageBytes, bytes);
   }
-  void add_h2d(std::int64_t bytes) {
-    h2d_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  void add_d2h(std::int64_t bytes) {
-    d2h_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  void add_halo_exchange(std::int64_t n = 1) {
-    halo_exchanges_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_solver_iterations(std::int64_t n) {
-    solver_iterations_.fetch_add(n, std::memory_order_relaxed);
-  }
+  void add_h2d(std::int64_t bytes) { add(kH2dBytes, bytes); }
+  void add_d2h(std::int64_t bytes) { add(kD2hBytes, bytes); }
+  void add_halo_exchange(std::int64_t n = 1) { add(kHaloExchanges, n); }
+  void add_solver_iterations(std::int64_t n) { add(kSolverIterations, n); }
 
   Counters snapshot() const;
-  void reset();
 
 private:
-  std::atomic<std::int64_t> bytes_read_{0};
-  std::atomic<std::int64_t> bytes_written_{0};
-  std::atomic<std::int64_t> flops_{0};
-  std::atomic<std::int64_t> kernel_launches_{0};
-  std::atomic<std::int64_t> reductions_{0};
-  std::atomic<std::int64_t> messages_{0};
-  std::atomic<std::int64_t> message_bytes_{0};
-  std::atomic<std::int64_t> h2d_bytes_{0};
-  std::atomic<std::int64_t> d2h_bytes_{0};
-  std::atomic<std::int64_t> halo_exchanges_{0};
-  std::atomic<std::int64_t> solver_iterations_{0};
+  // One slot per Counters field, in declaration order.
+  enum Field {
+    kBytesRead, kBytesWritten, kFlops, kKernelLaunches, kReductions,
+    kMessages, kMessageBytes, kH2dBytes, kD2hBytes, kHaloExchanges,
+    kSolverIterations, kNumFields
+  };
+
+  void add(Field field, std::int64_t n) {
+    for (Instrumentation* s = this; s != nullptr; s = s->parent_) {
+      s->counts_[field].fetch_add(n, std::memory_order_relaxed);
+    }
+  }
+
+  Instrumentation* const parent_;
+  std::atomic<std::int64_t> counts_[kNumFields] = {};
 };
 
-/// RAII capture of the counter delta across a scope.
-class CounterScope {
-public:
-  explicit CounterScope(Instrumentation& instr = Instrumentation::global())
-      : instr_(instr), start_(instr.snapshot()) {}
+/// The sink this thread charges: the innermost live SinkBinding's, or
+/// global() when none is bound.  Every charge goes through this accessor.
+Instrumentation& sink();
 
-  /// Delta accumulated since construction.
-  Counters delta() const { return instr_.snapshot() - start_; }
+/// RAII thread-local binding: while alive, sink() on this thread returns
+/// `bound`; destruction restores the previous binding (bindings nest).
+class SinkBinding {
+public:
+  explicit SinkBinding(Instrumentation& bound);
+  ~SinkBinding();
+
+  SinkBinding(const SinkBinding&) = delete;
+  SinkBinding& operator=(const SinkBinding&) = delete;
 
 private:
-  Instrumentation& instr_;
-  Counters start_;
+  Instrumentation* previous_;
+};
+
+/// RAII capture of one execution's counts: a child of the thread's current
+/// sink, bound to this thread while the scope lives.
+class CounterScope {
+public:
+  CounterScope() : sink_(&sink()), binding_(sink_) {}
+
+  /// Counts charged on this thread (or on threads bound to this scope's
+  /// sink) since construction.
+  Counters delta() const { return sink_.snapshot(); }
+
+private:
+  Instrumentation sink_;
+  SinkBinding binding_;
 };
 
 }  // namespace machine

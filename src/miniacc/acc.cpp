@@ -5,10 +5,6 @@
 
 namespace miniacc {
 
-namespace {
-machine::Instrumentation& instr() { return machine::Instrumentation::global(); }
-}  // namespace
-
 DataRegion::DataRegion(Target target, simgpu::Device* device,
                        tlp::ThreadPool* pool)
     : target_(target), device_(device), pool_(pool) {
@@ -92,8 +88,9 @@ void DataRegion::parallel_loop(const std::string& name, long n,
   pool().parallel_for(0, n, [&](long lo, long hi) {
     for (long i = lo; i < hi; ++i) body(i);
   });
-  instr().add_launch();
-  instr().add_traffic(traffic.bytes_read, traffic.bytes_written, traffic.flops);
+  machine::Instrumentation& counts = machine::sink();
+  counts.add_launch();
+  counts.add_traffic(traffic.bytes_read, traffic.bytes_written, traffic.flops);
 }
 
 void DataRegion::parallel_loop_2d(const std::string& name, int nx, int ny,
@@ -109,8 +106,9 @@ void DataRegion::parallel_loop_2d(const std::string& name, int nx, int ny,
       for (int i = 0; i < nx; ++i) body(i, static_cast<int>(j));
     }
   });
-  instr().add_launch();
-  instr().add_traffic(traffic.bytes_read, traffic.bytes_written, traffic.flops);
+  machine::Instrumentation& counts = machine::sink();
+  counts.add_launch();
+  counts.add_traffic(traffic.bytes_read, traffic.bytes_written, traffic.flops);
 }
 
 double DataRegion::parallel_reduce_sum(
@@ -127,9 +125,10 @@ double DataRegion::parallel_reduce_sum(
         return acc;
       },
       [](double a, double b) { return a + b; });
-  instr().add_launch();
-  instr().add_reduction();
-  instr().add_traffic(n * 8, 0, n);
+  machine::Instrumentation& counts = machine::sink();
+  counts.add_launch();
+  counts.add_reduction();
+  counts.add_traffic(n * 8, 0, n);
   return result;
 }
 

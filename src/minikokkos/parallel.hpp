@@ -39,12 +39,6 @@ struct MDRangePolicy2 {
       : space(s), begin0(b0), end0(e0), begin1(b1), end1(e1) {}
 };
 
-namespace detail {
-inline machine::Instrumentation& instr() {
-  return machine::Instrumentation::global();
-}
-}  // namespace detail
-
 // --- parallel_for ------------------------------------------------------------
 
 template <typename Exec, typename F>
@@ -52,12 +46,12 @@ void parallel_for(const std::string& name, RangePolicy<Exec> p, F&& f) {
   (void)name;
   if constexpr (std::is_same_v<Exec, Serial>) {
     for (long i = p.begin; i < p.end; ++i) f(i);
-    detail::instr().add_launch();
+    machine::sink().add_launch();
   } else if constexpr (std::is_same_v<Exec, Threads>) {
     thread_pool(p.space).parallel_for(p.begin, p.end, [&](long lo, long hi) {
       for (long i = lo; i < hi; ++i) f(i);
     });
-    detail::instr().add_launch();
+    machine::sink().add_launch();
   } else {
     static_assert(std::is_same_v<Exec, SimGPU>, "unknown execution space");
     device().launch_1d(name, p.end - p.begin, {},
@@ -72,14 +66,14 @@ void parallel_for(const std::string& name, MDRangePolicy2<Exec> p, F&& f) {
     for (long i0 = p.begin0; i0 < p.end0; ++i0) {
       for (long i1 = p.begin1; i1 < p.end1; ++i1) f(i0, i1);
     }
-    detail::instr().add_launch();
+    machine::sink().add_launch();
   } else if constexpr (std::is_same_v<Exec, Threads>) {
     thread_pool(p.space).parallel_for(p.begin0, p.end0, [&](long lo, long hi) {
       for (long i0 = lo; i0 < hi; ++i0) {
         for (long i1 = p.begin1; i1 < p.end1; ++i1) f(i0, i1);
       }
     });
-    detail::instr().add_launch();
+    machine::sink().add_launch();
   } else {
     static_assert(std::is_same_v<Exec, SimGPU>, "unknown execution space");
     const int n1 = static_cast<int>(p.end1 - p.begin1);
@@ -101,8 +95,9 @@ void parallel_reduce(const std::string& name, RangePolicy<Exec> p, F&& f,
     double acc = 0.0;
     for (long i = p.begin; i < p.end; ++i) f(i, acc);
     result = acc;
-    detail::instr().add_launch();
-    detail::instr().add_reduction();
+    machine::Instrumentation& counts = machine::sink();
+    counts.add_launch();
+    counts.add_reduction();
   } else if constexpr (std::is_same_v<Exec, Threads>) {
     result = thread_pool(p.space).template parallel_reduce<double>(
         p.begin, p.end, 0.0,
@@ -112,8 +107,9 @@ void parallel_reduce(const std::string& name, RangePolicy<Exec> p, F&& f,
           return acc;
         },
         [](double a, double b) { return a + b; });
-    detail::instr().add_launch();
-    detail::instr().add_reduction();
+    machine::Instrumentation& counts = machine::sink();
+    counts.add_launch();
+    counts.add_reduction();
   } else {
     static_assert(std::is_same_v<Exec, SimGPU>, "unknown execution space");
     result = device().reduce_sum(name, p.end - p.begin,

@@ -22,9 +22,13 @@ void World::run(const std::function<void(Comm&)>& rank_main) {
   threads.reserve(static_cast<std::size_t>(size_));
   std::mutex error_mutex;
   std::exception_ptr first_error;
+  // Ranks charge wherever their spawner does (a CounterScope, a service's
+  // sink), as the same work would on one thread.
+  machine::Instrumentation& spawner_sink = machine::sink();
 
   for (int r = 0; r < size_; ++r) {
     threads.emplace_back([&, r] {
+      const machine::SinkBinding binding(spawner_sink);
       Comm comm(*this, r);
       try {
         rank_main(comm);
@@ -42,10 +46,9 @@ void Comm::send_bytes(const void* data, std::size_t bytes, int dest, Tag tag) {
   if (dest == kProcNull) return;
   TL_REQUIRE(dest >= 0 && dest < size(),
              "send to invalid rank " + std::to_string(dest));
-  // Charge before delivery: once pushed, the receiver may act on the
-  // message (close or open a counter window) before this thread runs again.
-  machine::Instrumentation::global().add_message(
-      static_cast<std::int64_t>(bytes));
+  // Charge before delivery: a message is counted before any rank can
+  // receive it, so a count read after a receive includes that message.
+  machine::sink().add_message(static_cast<std::int64_t>(bytes));
   world_.mailboxes_[static_cast<std::size_t>(dest)]->push(rank_, tag, data,
                                                           bytes);
 }

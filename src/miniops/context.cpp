@@ -10,7 +10,6 @@
 namespace ops {
 
 namespace {
-machine::Instrumentation& instr() { return machine::Instrumentation::global(); }
 
 // Halo-exchange message tags (reserved range; FIFO matching per peer keeps
 // multi-dat exchanges in order).
@@ -104,8 +103,9 @@ double Context::finish_reduction(double local, ReduceOp op) {
     result = options_.comm->allreduce(local, op);
   }
   if (counts_globally()) {
-    instr().add_reduction();
-    if (is_device()) instr().add_d2h(8);
+    machine::Instrumentation& counts = machine::sink();
+    counts.add_reduction();
+    if (is_device()) counts.add_d2h(8);
   }
   return result;
 }
@@ -237,7 +237,7 @@ void Context::exchange_internal(Dat& dat, int depth) {
   if (cart.down() != minimpi::kProcNull) moved += 2 * static_cast<std::int64_t>(y_msg);
   if (cart.up() != minimpi::kProcNull) moved += 2 * static_cast<std::int64_t>(y_msg);
   const std::int64_t bytes = moved * static_cast<std::int64_t>(sizeof(double));
-  instr().add_traffic(bytes, bytes, 0);
+  machine::sink().add_traffic(bytes, bytes, 0);
 }
 
 void Context::reflect_physical(Dat& dat, int depth) {
@@ -252,7 +252,7 @@ void Context::reflect_physical(Dat& dat, int depth) {
   const std::int64_t edge_cells =
       static_cast<std::int64_t>(depth) *
       (2 * dat.local_nx() + 2 * (dat.local_nx() + 2 * depth));
-  instr().add_traffic(edge_cells * 8, edge_cells * 8, 0);
+  machine::sink().add_traffic(edge_cells * 8, edge_cells * 8, 0);
 }
 
 void Context::reflect_physical_device(Dat& dat, int depth) {
@@ -332,7 +332,7 @@ void Context::enqueue_reflection(Dat& dat, int depth) {
   };
   execute(std::move(rec));
   dat.set_halo_dirty(false);
-  if (counts_globally()) instr().add_halo_exchange();
+  if (counts_globally()) machine::sink().add_halo_exchange();
 }
 
 void Context::update_halo(const std::vector<Dat*>& dats, int depth) {
@@ -356,7 +356,7 @@ void Context::update_halo(const std::vector<Dat*>& dats, int depth) {
       reflect_physical(*dat, depth);
     }
     dat->set_halo_dirty(false);
-    if (counts_globally()) instr().add_halo_exchange();
+    if (counts_globally()) machine::sink().add_halo_exchange();
   }
 }
 
@@ -402,8 +402,9 @@ void Context::charge_loop_traffic(const LoopRecord& loop) {
     if (reads(use.mode)) r += cells * 8;
     if (writes(use.mode)) w += cells * 8;
   }
-  instr().add_traffic(r, w, cells * loop.flops_per_cell);
-  if (counts_globally()) instr().add_launch();
+  machine::Instrumentation& counts = machine::sink();
+  counts.add_traffic(r, w, cells * loop.flops_per_cell);
+  if (counts_globally()) counts.add_launch();
 }
 
 void Context::mark_after_execution(const LoopRecord& loop) {
@@ -545,10 +546,10 @@ void Context::flush() {
   }
 
   const TilePlan::Traffic traffic = plan.traffic(chain);
-  instr().add_traffic(traffic.bytes_read, traffic.bytes_written,
-                      traffic.flops);
+  machine::sink().add_traffic(traffic.bytes_read, traffic.bytes_written,
+                              traffic.flops);
   if (counts_globally()) {
-    instr().add_launch(static_cast<std::int64_t>(chain.size()));
+    machine::sink().add_launch(static_cast<std::int64_t>(chain.size()));
   }
   for (const LoopRecord& l : chain) mark_after_execution(l);
   loops_executed_ += static_cast<long>(chain.size());

@@ -26,9 +26,6 @@
 namespace raja {
 
 namespace detail {
-inline machine::Instrumentation& instr() {
-  return machine::Instrumentation::global();
-}
 
 /// Runs `loop(body)` on a private copy of `f` made as chunk `ordinal`.
 template <typename Body, typename Loop>
@@ -59,7 +56,7 @@ void forall(tlp::ThreadPool* pool, const RangeSegment& seg, F&& f) {
     detail::run_chunk(0, f, [&](Body& body) {
       for (long i = seg.begin(); i < seg.end(); ++i) body(i);
     });
-    detail::instr().add_launch();
+    machine::sink().add_launch();
   } else if constexpr (std::is_same_v<Policy, omp_parallel_for_exec>) {
     detail::static_chunks(pool, seg.begin(), seg.end(),
                           [&](int rank, long lo, long hi) {
@@ -67,7 +64,7 @@ void forall(tlp::ThreadPool* pool, const RangeSegment& seg, F&& f) {
                               for (long i = lo; i < hi; ++i) body(i);
                             });
                           });
-    detail::instr().add_launch();
+    machine::sink().add_launch();
   } else {
     static_assert(std::is_same_v<Policy, simgpu_exec>, "unknown policy");
     simgpu::default_device().launch_1d_blocks(
@@ -97,7 +94,7 @@ void kernel_2d(tlp::ThreadPool* pool, const RangeSegment& outer,
         for (long i = inner.begin(); i < inner.end(); ++i) body(j, i);
       }
     });
-    detail::instr().add_launch();
+    machine::sink().add_launch();
   } else if constexpr (std::is_same_v<Policy, omp_parallel_for_exec>) {
     detail::static_chunks(
         pool, outer.begin(), outer.end(), [&](int rank, long lo, long hi) {
@@ -107,7 +104,7 @@ void kernel_2d(tlp::ThreadPool* pool, const RangeSegment& outer,
             }
           });
         });
-    detail::instr().add_launch();
+    machine::sink().add_launch();
   } else {
     static_assert(std::is_same_v<Policy, simgpu_exec>, "unknown policy");
     simgpu::default_device().launch_2d_blocks(

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/file_util.hpp"
 #include "results/json.hpp"
 
 namespace results {
@@ -247,10 +248,7 @@ std::string ResultStore::to_json() const {
 }
 
 void ResultStore::save(const std::string& path) const {
-  std::ofstream out(path);
-  TL_REQUIRE(out.good(), "cannot open result store '" + path + "' for write");
-  out << to_json();
-  TL_REQUIRE(out.good(), "short write to result store '" + path + "'");
+  tl::write_file_atomically(path, to_json());
 }
 
 const ResultRow* ResultStore::find(const std::string& key) const {

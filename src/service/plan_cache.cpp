@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/file_util.hpp"
 #include "results/json.hpp"
 #include "tuning/plan.hpp"
 
@@ -37,10 +38,7 @@ void PlanCache::touch_locked(std::size_t index) {
 bool PlanCache::lookup(const std::string& key, tuning::TunedPlan* out) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t i = find_locked(key);
-  if (i == entries_.size()) {
-    ++stats_.misses;
-    return false;
-  }
+  if (i == entries_.size()) return false;
   ++stats_.hits;
   touch_locked(i);
   if (out != nullptr) *out = entries_.back().plan;
@@ -71,20 +69,13 @@ tuning::TunedPlan PlanCache::fetch_or_tune(results::ResultStore& store,
 
   // Serialise tunes: tuning::tune mutates the shared store and the
   // process-global machine overrides.  Re-check after winning the mutex so
-  // concurrent misses on one key cost a single tune.
+  // concurrent fetches of one cold key cost a single tune.
   std::lock_guard<std::mutex> tune_lock(tune_mutex_);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::size_t i = find_locked(key);
-    if (i != entries_.size()) {
-      ++stats_.hits;
-      touch_locked(i);
-      return entries_.back().plan;
-    }
-  }
+  if (lookup(key, &plan)) return plan;
   tuning::TuneOutcome outcome = tuning::tune(store, problem, options);
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.misses;
     ++stats_.tunes;
   }
   insert(key, outcome.plan);
@@ -150,10 +141,7 @@ void PlanCache::save() const {
     }
   }
   doc.set("entries", std::move(entries));
-  std::ofstream out(path_);
-  if (!out)
-    throw tl::Error("plan cache: cannot write '" + path_ + "'");
-  out << doc.dump() << "\n";
+  tl::write_file_atomically(path_, doc.dump() + "\n");
 }
 
 PlanCacheStats PlanCache::stats() const {

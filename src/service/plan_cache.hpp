@@ -31,8 +31,9 @@
 namespace service {
 
 struct PlanCacheStats {
-  long hits = 0;       // fetch_or_tune served from cache
-  long misses = 0;     // fetch_or_tune had to tune (or wait for one)
+  long hits = 0;       // lookups and fetches served from cache (a fetch
+                       // that waited for another's tune of its key too)
+  long misses = 0;     // fetches that tuned
   long tunes = 0;      // tuning::tune actually executed
   long evictions = 0;  // entries dropped by the LRU bound
 };
@@ -49,14 +50,15 @@ public:
 
   /// The service entry point.  Cache hit: return the stored plan (moved to
   /// most-recently-used).  Miss: run tuning::tune against `store` under the
-  /// tune mutex, insert, and return the fresh plan.  Two workers missing on
-  /// the same key concurrently perform one tune: the loser of the mutex race
-  /// re-checks the cache before tuning.
+  /// tune mutex, insert, and return the fresh plan.  Two workers fetching a
+  /// cold key concurrently perform one tune: the loser of the mutex race
+  /// re-checks the cache and counts a hit, so a miss is a fetch that tuned.
   tuning::TunedPlan fetch_or_tune(results::ResultStore& store,
                                   const tl::ProblemConfig& problem,
                                   const tuning::TuneOptions& options);
 
-  /// Direct lookup without tuning; counts as a hit when found.
+  /// Direct lookup without tuning; counts as a hit when found and as
+  /// nothing otherwise.
   bool lookup(const std::string& key, tuning::TunedPlan* out);
 
   /// Insert (or overwrite) an entry as most-recently-used, evicting the

@@ -157,6 +157,7 @@ tea::RunResult SolveService::execute(const ResolvedPlan& plan,
 }
 
 void SolveService::worker_loop(Worker& worker) {
+  const machine::SinkBinding binding(counters_);
   for (;;) {
     std::vector<QueuedRequest> group = queue_.pop_group(
         options_.max_batch, [](const QueuedRequest& head,
@@ -227,6 +228,7 @@ ServiceStats SolveService::stats() const {
   out.batched_solves = batched_solves_.load(std::memory_order_relaxed);
   out.fallback_solves = fallback_solves_.load(std::memory_order_relaxed);
   out.plan = plan_cache_.stats();
+  out.counters = counters_.snapshot();
   // workers_ grows under lifecycle_mutex_ in start(); hold it so a stats
   // snapshot taken from the net event loop never races the spawn.
   std::lock_guard<std::mutex> lock(lifecycle_mutex_);

@@ -57,6 +57,7 @@
 #include "common/config.hpp"
 #include "core/backends/field_arena.hpp"
 #include "core/registry.hpp"
+#include "machine/instrumentation.hpp"
 #include "results/result_store.hpp"
 #include "service/plan_cache.hpp"
 #include "simgpu/device.hpp"
@@ -139,6 +140,8 @@ struct ServiceStats {
                             // winners go through run_simulation's SPMD world)
   PlanCacheStats plan;      // hits/misses/tunes/evictions
   tea::FieldArena::Stats arena;  // slab allocations vs reuses, all workers
+  machine::Counters counters;    // everything the workers charged: solves,
+                                 // their setup, and tunes
 };
 
 class SolveService {
@@ -238,6 +241,9 @@ private:
   std::atomic<long> batches_{0};
   std::atomic<long> batched_solves_{0};
   std::atomic<long> fallback_solves_{0};
+  // The service's counter sink: every worker thread binds it, so it holds
+  // this service's charges and nothing else the process runs.
+  machine::Instrumentation counters_;
 };
 
 }  // namespace service

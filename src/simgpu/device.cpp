@@ -8,10 +8,6 @@
 
 namespace simgpu {
 
-namespace {
-machine::Instrumentation& instr() { return machine::Instrumentation::global(); }
-}  // namespace
-
 Device::Device(std::size_t memory_capacity, tlp::ThreadPool* pool)
     : capacity_(memory_capacity), pool_(pool) {}
 
@@ -77,14 +73,14 @@ void Device::memcpy_h2d(void* dst_device, const void* src_host,
                         std::size_t bytes) {
   check_device_ptr(dst_device, bytes, "memcpy_h2d dst");
   std::memcpy(dst_device, src_host, bytes);
-  instr().add_h2d(static_cast<std::int64_t>(bytes));
+  machine::sink().add_h2d(static_cast<std::int64_t>(bytes));
 }
 
 void Device::memcpy_d2h(void* dst_host, const void* src_device,
                         std::size_t bytes) {
   check_device_ptr(src_device, bytes, "memcpy_d2h src");
   std::memcpy(dst_host, src_device, bytes);
-  instr().add_d2h(static_cast<std::int64_t>(bytes));
+  machine::sink().add_d2h(static_cast<std::int64_t>(bytes));
 }
 
 void Device::memcpy_d2d(void* dst_device, const void* src_device,
@@ -92,8 +88,8 @@ void Device::memcpy_d2d(void* dst_device, const void* src_device,
   check_device_ptr(dst_device, bytes, "memcpy_d2d dst");
   check_device_ptr(src_device, bytes, "memcpy_d2d src");
   std::memmove(dst_device, src_device, bytes);
-  instr().add_traffic(static_cast<std::int64_t>(bytes),
-                      static_cast<std::int64_t>(bytes), 0);
+  machine::sink().add_traffic(static_cast<std::int64_t>(bytes),
+                              static_cast<std::int64_t>(bytes), 0);
 }
 
 void Device::set_block_size(int bx, int by) {
@@ -137,8 +133,9 @@ void Device::launch_1d_blocks(
     std::lock_guard<std::mutex> lock(mutex_);
     ++launches_;
   }
-  instr().add_launch();
-  instr().add_traffic(traffic.bytes_read, traffic.bytes_written, traffic.flops);
+  machine::Instrumentation& counts = machine::sink();
+  counts.add_launch();
+  counts.add_traffic(traffic.bytes_read, traffic.bytes_written, traffic.flops);
 }
 
 void Device::launch_2d_blocks(
@@ -161,8 +158,9 @@ void Device::launch_2d_blocks(
     std::lock_guard<std::mutex> lock(mutex_);
     ++launches_;
   }
-  instr().add_launch();
-  instr().add_traffic(traffic.bytes_read, traffic.bytes_written, traffic.flops);
+  machine::Instrumentation& counts = machine::sink();
+  counts.add_launch();
+  counts.add_traffic(traffic.bytes_read, traffic.bytes_written, traffic.flops);
 }
 
 double Device::reduce_sum(const std::string& name, long n,
@@ -189,13 +187,14 @@ double Device::reduce_sum(const std::string& name, long n,
     std::lock_guard<std::mutex> lock(mutex_);
     launches_ += 2;  // partial kernel + final-reduce kernel
   }
-  instr().add_launch(2);
-  instr().add_reduction();
+  machine::Instrumentation& counts = machine::sink();
+  counts.add_launch(2);
+  counts.add_reduction();
   // Partials travel through device memory; the scalar result crosses PCIe.
-  instr().add_traffic(static_cast<std::int64_t>(grid) * 8,
-                      static_cast<std::int64_t>(grid) * 8,
-                      static_cast<std::int64_t>(n));
-  instr().add_d2h(8);
+  counts.add_traffic(static_cast<std::int64_t>(grid) * 8,
+                     static_cast<std::int64_t>(grid) * 8,
+                     static_cast<std::int64_t>(n));
+  counts.add_d2h(8);
   return total;
 }
 

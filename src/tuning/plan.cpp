@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/file_util.hpp"
 
 namespace tuning {
 
@@ -202,10 +203,7 @@ TunedPlan load_plan(const std::string& path) {
 }
 
 void save_plan(const TunedPlan& plan, const std::string& path) {
-  std::ofstream out(path);
-  TL_REQUIRE(out.good(), "cannot open tuned plan '" + path + "' for write");
-  out << plan_to_json(plan).dump(2) << "\n";
-  TL_REQUIRE(out.good(), "short write to tuned plan '" + path + "'");
+  tl::write_file_atomically(path, plan_to_json(plan).dump(2) + "\n");
 }
 
 namespace {

@@ -12,6 +12,7 @@
 #include "common/config.hpp"
 #include "core/registry.hpp"
 #include "results/sweep.hpp"
+#include "sibling_solver.hpp"
 
 namespace {
 
@@ -294,6 +295,43 @@ TEST(RajaReductions, SolveIsBitwiseRepeatableAfterThreadChurn) {
     EXPECT_EQ(a.steps[s].summary.ie, b.steps[s].summary.ie);
   }
 }
+
+// A run's counters are its own: every field equals the isolated run's while
+// a sibling thread solves, for each backend family (pool-threaded, simgpu,
+// and threads-as-ranks with and without per-rank pools).
+class CounterIsolationTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CounterIsolationTest, SiblingSolvesStayOutOfRunCounters) {
+  const std::string variant = GetParam();
+  const tl::ProblemConfig problem = results::bench_problem(48, 2);
+  tea::RunOptions options;
+  options.threads = 2;
+  options.ranks = variant == "manual-hybrid" ? 2 : 4;
+  options.hybrid_threads = 2;
+
+  const tea::RunResult isolated =
+      tea::run_simulation(variant, problem, options);
+  tea::RunResult contended;
+  {
+    const test::SiblingSolver sibling;
+    contended = tea::run_simulation(variant, problem, options);
+  }
+  EXPECT_GT(isolated.counters.kernel_launches, 0);
+  EXPECT_EQ(contended.counters.to_string(), isolated.counters.to_string());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, CounterIsolationTest,
+    ::testing::Values("serial", "manual-omp", "ops-omp", "kokkos-omp",
+                      "raja-omp", "manual-cuda", "manual-mpi",
+                      "manual-hybrid"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 TEST(Registry, BackendListConsistent) {
   const auto all = tea::available_backends();

@@ -1,6 +1,11 @@
-// Unit tests for the machine layer: counters, machine registry, efficiency
-// calibration table, and roofline projection properties.
+// Unit tests for the machine layer: counters and counter sinks, machine
+// registry, efficiency calibration table, and roofline projection
+// properties.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "machine/efficiency.hpp"
@@ -31,18 +36,92 @@ TEST(Counters, ArithmeticAndSnapshot) {
   EXPECT_EQ(c.message_bytes, 64);
   EXPECT_EQ(c.h2d_bytes, 8);
   EXPECT_EQ(c.reductions, 1);
-  instr.reset();
-  EXPECT_EQ(instr.snapshot().total_bytes(), 0);
 }
 
 TEST(Counters, ScopeDeltas) {
-  machine::Instrumentation instr;
-  instr.add_traffic(1000, 0, 0);
-  const machine::CounterScope scope(instr);
-  instr.add_traffic(0, 500, 0);
+  machine::sink().add_traffic(1000, 0, 0);
+  const machine::CounterScope scope;
+  machine::sink().add_traffic(0, 500, 0);
   const Counters d = scope.delta();
   EXPECT_EQ(d.bytes_read, 0);
   EXPECT_EQ(d.bytes_written, 500);
+}
+
+TEST(CounterSinks, ChargeReachesEveryAncestorUpToGlobal) {
+  machine::Instrumentation& root = machine::Instrumentation::global();
+  const Counters root_before = root.snapshot();
+  machine::Instrumentation parent;  // a child of global()
+  machine::Instrumentation child(&parent);
+  child.add_launch(3);
+  child.add_message(64);
+  parent.add_launch();
+  EXPECT_EQ(child.snapshot().kernel_launches, 3);
+  EXPECT_EQ(child.snapshot().message_bytes, 64);
+  EXPECT_EQ(parent.snapshot().kernel_launches, 4);
+  EXPECT_EQ(parent.snapshot().messages, 1);
+  const Counters root_delta = root.snapshot() - root_before;
+  EXPECT_EQ(root_delta.kernel_launches, 4);
+  EXPECT_EQ(root_delta.message_bytes, 64);
+}
+
+TEST(CounterSinks, ScopesNestAndRestoreTheBinding) {
+  EXPECT_EQ(&machine::sink(), &machine::Instrumentation::global());
+  {
+    const machine::CounterScope outer;
+    ASSERT_NE(&machine::sink(), &machine::Instrumentation::global());
+    machine::sink().add_reduction();
+    {
+      const machine::CounterScope inner;
+      machine::sink().add_reduction(2);
+      EXPECT_EQ(inner.delta().reductions, 2);
+    }
+    machine::sink().add_reduction(4);
+    EXPECT_EQ(outer.delta().reductions, 7);
+  }
+  EXPECT_EQ(&machine::sink(), &machine::Instrumentation::global());
+}
+
+// The bug per-execution sinks fix: a scope sees only its own thread's
+// charges, however busy a sibling thread is.
+TEST(CounterSinks, SiblingThreadChargesStayOutOfAScope) {
+  std::atomic<bool> stop{false};
+  std::atomic<long> sibling_charges{0};
+  std::thread sibling([&] {
+    while (!stop.load()) {
+      machine::sink().add_launch();
+      sibling_charges.fetch_add(1);
+    }
+  });
+  while (sibling_charges.load() == 0) std::this_thread::yield();
+  Counters delta;
+  {
+    const machine::CounterScope scope;
+    for (int i = 0; i < 1000; ++i) {
+      machine::sink().add_launch();
+      std::this_thread::yield();
+    }
+    delta = scope.delta();
+  }
+  stop.store(true);
+  sibling.join();
+  EXPECT_EQ(delta.kernel_launches, 1000);
+}
+
+TEST(CounterSinks, ThreadsBoundToOneSinkSumExactly) {
+  machine::Instrumentation shared;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&shared] {
+      const machine::SinkBinding binding(shared);
+      for (int i = 0; i < 1000; ++i) machine::sink().add_traffic(8, 16, 1);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const Counters c = shared.snapshot();
+  EXPECT_EQ(c.bytes_read, 4 * 1000 * 8);
+  EXPECT_EQ(c.bytes_written, 4 * 1000 * 16);
+  EXPECT_EQ(c.flops, 4 * 1000);
+  EXPECT_EQ(&machine::sink(), &machine::Instrumentation::global());
 }
 
 TEST(Counters, ToStringMentionsFields) {

@@ -3,11 +3,15 @@
 // and the 2D Cartesian topology.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "machine/instrumentation.hpp"
 #include "minimpi/cart.hpp"
 #include "minimpi/comm.hpp"
 
@@ -375,6 +379,38 @@ TEST(BlockRange, SizesWithinOneCell) {
     EXPECT_GE(e - b, 3);
     EXPECT_LE(e - b, 4);
   }
+}
+
+// Rank threads start bound to the spawner's counter sink: a scope around
+// run_world sees every rank's messages, and no rank's charge reaches a scope
+// open on an unrelated thread.
+TEST(World, RankThreadsChargeTheSpawnersSink) {
+  machine::Counters bystander;
+  machine::Counters spawner;
+  std::atomic<bool> ranks_done{false};
+  std::atomic<bool> bystander_open{false};
+  std::thread other([&] {
+    const machine::CounterScope scope;
+    bystander_open.store(true);
+    while (!ranks_done.load()) std::this_thread::yield();
+    bystander = scope.delta();
+  });
+  while (!bystander_open.load()) std::this_thread::yield();
+  {
+    const machine::CounterScope scope;
+    minimpi::run_world(4, [](Comm& comm) {
+      const int next = (comm.rank() + 1) % comm.size();
+      const int prev = (comm.rank() + comm.size() - 1) % comm.size();
+      comm.send_value(comm.rank(), next, /*tag=*/3);
+      EXPECT_EQ(comm.recv_value<int>(prev, 3), prev);
+    });
+    spawner = scope.delta();
+  }
+  ranks_done.store(true);
+  other.join();
+  EXPECT_EQ(spawner.messages, 4);
+  EXPECT_EQ(spawner.message_bytes, 4 * static_cast<std::int64_t>(sizeof(int)));
+  EXPECT_EQ(bystander.messages, 0);
 }
 
 }  // namespace

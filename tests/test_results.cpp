@@ -4,7 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <sys/resource.h>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/error.hpp"
@@ -175,6 +183,57 @@ TEST(ResultStore, LoadOfMissingFileYieldsEmptyStore) {
   const results::ResultStore store =
       results::ResultStore::load("does_not_exist_12345.json");
   EXPECT_EQ(store.size(), 0u);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+std::vector<std::string> dir_entries(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    names.push_back(entry.path().filename().string());
+  return names;
+}
+
+// Persisted state survives a failed save: a save that dies part-way (here
+// the process file-size limit stops the write, as a full disk would) leaves
+// the previous file byte-identical and no temp file behind.
+TEST(ResultStore, FailedSaveKeepsThePreviousFileAndNoTemp) {
+  std::string dir = testing::TempDir() + "atomic_save_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/store.json";
+  results::ResultStore before;
+  before.put(sample_row("manual-omp", 0.5));
+  before.save(path);
+  const std::string saved = read_file(path);
+
+  results::ResultStore bigger = before;
+  for (int i = 0; i < 200; ++i)
+    bigger.put(sample_row("variant-" + std::to_string(i), 0.1));
+  ASSERT_GT(bigger.to_json().size(), 4 * saved.size());
+
+  rlimit original{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &original), 0);
+  rlimit capped = original;
+  capped.rlim_cur = static_cast<rlim_t>(2 * saved.size());
+  const auto previous_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  EXPECT_THROW(bigger.save(path), tl::Error);
+  ::setrlimit(RLIMIT_FSIZE, &original);
+  std::signal(SIGXFSZ, previous_handler);
+
+  EXPECT_EQ(read_file(path), saved);
+  EXPECT_EQ(dir_entries(dir), std::vector<std::string>{"store.json"});
+
+  // Uncapped, the same save replaces the file whole.
+  bigger.save(path);
+  EXPECT_EQ(read_file(path), bigger.to_json());
+  EXPECT_EQ(dir_entries(dir), std::vector<std::string>{"store.json"});
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TimingStats, MinMedianStddev) {

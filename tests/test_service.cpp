@@ -27,6 +27,7 @@
 #include "service/service.hpp"
 #include "threading/task_queue.hpp"
 #include "tuning/plan.hpp"
+#include "sibling_solver.hpp"
 
 namespace {
 
@@ -148,6 +149,60 @@ TEST(PlanCache, FetchOrTuneTunesOnceThenHitsBitIdentically) {
   // The warm hit returns the stored plan bits unchanged.
   EXPECT_EQ(tuning::plan_to_json(cold).dump(), tuning::plan_to_json(warm).dump());
   EXPECT_EQ(cold.deck_hash, results::problem_key(problem));
+}
+
+// A miss is a fetch that tuned: two workers fetching one cold key tune it
+// once, and the one that waited on the tune mutex (or arrived after the
+// insert) counts a hit, never a second miss.
+TEST(PlanCache, ConcurrentColdFetchesCountOneMissOneTuneOneHit) {
+  results::ResultStore store;
+  service::PlanCache cache(4);
+  const tl::ProblemConfig problem = tiny_problem(24, 1);
+  std::string plans[2];
+  std::vector<std::thread> fetchers;
+  for (int t = 0; t < 2; ++t) {
+    fetchers.emplace_back([&, t] {
+      const tuning::TunedPlan plan =
+          cache.fetch_or_tune(store, problem, tiny_tune_options());
+      plans[t] = tuning::plan_to_json(plan).dump();
+    });
+  }
+  for (std::thread& f : fetchers) f.join();
+  const service::PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.tunes, 1);
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(plans[0], plans[1]);
+}
+
+// The service tunes beside shards that are solving: the rows a tune stores
+// must not depend on that.  Every row's counters, the simgpu device
+// anchor's included, equal an isolated tune's.
+TEST(PlanCache, TuneBesideConcurrentSolvesStoresIsolatedCounters) {
+  const tl::ProblemConfig problem = tiny_problem(48, 2);
+  results::ResultStore isolated_store;
+  service::PlanCache isolated_cache(4);
+  (void)isolated_cache.fetch_or_tune(isolated_store, problem,
+                                     tiny_tune_options());
+
+  results::ResultStore contended_store;
+  service::PlanCache contended_cache(4);
+  {
+    const test::SiblingSolver sibling;
+    (void)contended_cache.fetch_or_tune(contended_store, problem,
+                                        tiny_tune_options());
+  }
+
+  ASSERT_EQ(contended_store.size(), isolated_store.size());
+  bool device_anchor = false;
+  for (const results::ResultRow& row : isolated_store.rows()) {
+    const results::ResultRow* contended = contended_store.find(row.key);
+    ASSERT_NE(contended, nullptr) << row.key;
+    EXPECT_EQ(contended->counters.to_string(), row.counters.to_string())
+        << row.variant;
+    device_anchor = device_anchor || tea::backend_is_gpu(row.variant);
+  }
+  EXPECT_TRUE(device_anchor);
 }
 
 TEST(PlanCache, PersistsAndReloadsEntries) {

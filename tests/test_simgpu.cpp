@@ -190,9 +190,8 @@ TEST(Reduce, DeterministicForFixedGeometry) {
 }
 
 TEST(Instrumentation, LaunchAndTrafficCounted) {
-  machine::Instrumentation& instr = machine::Instrumentation::global();
   simgpu::Device dev(1 << 20);
-  const machine::CounterScope scope(instr);
+  const machine::CounterScope scope;
   dev.launch_2d("counted", 10, 10, {800, 400, 1300}, [](int, int) {});
   const auto delta = scope.delta();
   EXPECT_EQ(delta.kernel_launches, 1);
@@ -202,11 +201,10 @@ TEST(Instrumentation, LaunchAndTrafficCounted) {
 }
 
 TEST(Instrumentation, CopiesAndReductionsCounted) {
-  machine::Instrumentation& instr = machine::Instrumentation::global();
   simgpu::Device dev(1 << 20);
   simgpu::DeviceBuffer<double> buf(dev, 128);
   std::vector<double> host(128, 1.0);
-  const machine::CounterScope scope(instr);
+  const machine::CounterScope scope;
   buf.upload(host);
   buf.download(host);
   (void)dev.reduce_sum("r", 128, [](long) { return 1.0; });
