@@ -1,8 +1,9 @@
 // kokkos_backend.hpp — TeaLeaf through minikokkos, following the structure of
 // Martineau's Kokkos port: fields are rank-1 Views in the execution space's
-// memory space, kernels are parallel_for/parallel_reduce over a 1D index
-// space with explicit 2D index arithmetic, and initial conditions are
-// painted on host mirrors then deep_copied in.
+// memory space, interior kernels and reductions are parallel_for /
+// parallel_reduce over a 2-D MDRangePolicy2 (j outer, i inner) that index the
+// padded field through one captured (i, j) mapping, and initial conditions
+// are painted on host mirrors then deep_copied in.
 //
 //   kokkos-omp  : KokkosBackend<kk::Threads>  (the pool make_backend is given)
 //   kokkos-cuda : KokkosBackend<kk::SimGPU>   (simulated GPU)
@@ -168,14 +169,10 @@ public:
     auto va = view(a);
     auto vb = view(b);
     const auto at = index_fn();
-    const int nx = nx_;
     double result = 0.0;
     kk::parallel_reduce(
-        "tea_dot",
-        kk::RangePolicy<Exec>(space_, 0, static_cast<long>(nx) * ny_),
-        [=](long idx, double& sum) {
-          const long i = idx % nx;
-          const long j = idx / nx;
+        "tea_dot", interior_policy(),
+        [=](long j, long i, double& sum) {
           sum += va(at(i, j)) * vb(at(i, j));
         },
         result);
@@ -245,14 +242,10 @@ public:
     auto ky = view(FieldId::kKy);
     const auto at = index_fn();
     const double rx = rx_, ry = ry_;
-    const int nx = nx_;
     double err = 0.0;
     kk::parallel_reduce(
-        "tea_jacobi",
-        kk::RangePolicy<Exec>(space_, 0, static_cast<long>(nx) * ny_),
-        [=](long idx, double& e) {
-          const long i = idx % nx;
-          const long j = idx / nx;
+        "tea_jacobi", interior_policy(),
+        [=](long j, long i, double& e) {
           const double diag = 1.0 + rx * (kx(at(i + 1, j)) + kx(at(i, j))) +
                               ry * (ky(at(i, j + 1)) + ky(at(i, j)));
           const double off = rx * (kx(at(i + 1, j)) * uold(at(i + 1, j)) +
@@ -274,29 +267,25 @@ public:
     auto energy = view(FieldId::kEnergy0);
     auto u = view(FieldId::kU);
     const auto at = index_fn();
-    const int nx = nx_;
     const double vol_cell = cell_volume_;
-    const long n = static_cast<long>(nx) * ny_;
     FieldSummary s;
-    s.vol = vol_cell * static_cast<double>(n);
+    s.vol = vol_cell * static_cast<double>(static_cast<long>(nx_) * ny_);
     kk::parallel_reduce(
-        "tea_summary_mass", kk::RangePolicy<Exec>(space_, 0, n),
-        [=](long idx, double& acc) {
-          acc += density(at(idx % nx, idx / nx)) * vol_cell;
+        "tea_summary_mass", interior_policy(),
+        [=](long j, long i, double& acc) {
+          acc += density(at(i, j)) * vol_cell;
         },
         s.mass);
     kk::parallel_reduce(
-        "tea_summary_ie", kk::RangePolicy<Exec>(space_, 0, n),
-        [=](long idx, double& acc) {
-          const long i = idx % nx;
-          const long j = idx / nx;
+        "tea_summary_ie", interior_policy(),
+        [=](long j, long i, double& acc) {
           acc += density(at(i, j)) * energy(at(i, j)) * vol_cell;
         },
         s.ie);
     kk::parallel_reduce(
-        "tea_summary_temp", kk::RangePolicy<Exec>(space_, 0, n),
-        [=](long idx, double& acc) {
-          acc += u(at(idx % nx, idx / nx)) * vol_cell;
+        "tea_summary_temp", interior_policy(),
+        [=](long j, long i, double& acc) {
+          acc += u(at(i, j)) * vol_cell;
         },
         s.temp);
     charge(ref::kCostSummary);

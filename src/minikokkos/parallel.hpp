@@ -5,8 +5,10 @@
 //   MDRangePolicy2 : f(i0, i1)       / f(i0, i1, sum&)
 // A policy carries its execution-space instance (a Threads instance names
 // the pool to run on).  Host executions count one kernel launch in the
-// instrumentation; SimGPU executions delegate to simgpu::Device, which
-// counts its own.
+// instrumentation, and a reduce one reduction besides; SimGPU executions
+// delegate to simgpu::Device, which counts its own.  The MDRange reduce
+// walks rows on the host (one register accumulator per chunk of rows, the
+// pool splitting over i0) and the flat row-major index space on SimGPU.
 #pragma once
 
 #include <functional>
@@ -118,6 +120,48 @@ void parallel_reduce(const std::string& name, RangePolicy<Exec> p, F&& f,
                                    f(b + i, local);
                                    return local;
                                  });
+  }
+}
+
+/// 2-D sum (Kokkos::parallel_reduce over MDRangePolicy<Rank<2>>).  Host
+/// spaces keep one accumulator per work chunk of rows and sweep each row
+/// along i1, so no flat index is decoded per element; Threads partials are
+/// combined in thread order.  SimGPU reduces the flat row-major index space
+/// [0, n0*n1) exactly as a RangePolicy reduce over the same cells does, so
+/// the device's block order — and its bits — are the same for both.
+template <typename Exec, typename F>
+void parallel_reduce(const std::string& name, MDRangePolicy2<Exec> p, F&& f,
+                     double& result) {
+  (void)name;
+  const auto rows = [&](long lo, long hi) {
+    double acc = 0.0;
+    for (long i0 = lo; i0 < hi; ++i0) {
+      for (long i1 = p.begin1; i1 < p.end1; ++i1) f(i0, i1, acc);
+    }
+    return acc;
+  };
+  if constexpr (std::is_same_v<Exec, Serial>) {
+    result = rows(p.begin0, p.end0);
+    machine::Instrumentation& counts = machine::sink();
+    counts.add_launch();
+    counts.add_reduction();
+  } else if constexpr (std::is_same_v<Exec, Threads>) {
+    result = thread_pool(p.space).template parallel_reduce<double>(
+        p.begin0, p.end0, 0.0, rows,
+        [](double a, double b) { return a + b; });
+    machine::Instrumentation& counts = machine::sink();
+    counts.add_launch();
+    counts.add_reduction();
+  } else {
+    static_assert(std::is_same_v<Exec, SimGPU>, "unknown execution space");
+    const long n1 = p.end1 - p.begin1;
+    result = device().reduce_sum(
+        name, (p.end0 - p.begin0) * n1,
+        [&, b0 = p.begin0, b1 = p.begin1](long idx) {
+          double local = 0.0;
+          f(b0 + idx / n1, b1 + idx % n1, local);
+          return local;
+        });
   }
 }
 

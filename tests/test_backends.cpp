@@ -277,6 +277,87 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// --- minikokkos backends --------------------------------------------------------
+
+// Logical counters of the Kokkos variants, pinned the same way: the policy
+// kind a kernel or reduction runs over may change, the launches, charged
+// traffic, reductions and host<->device copies may not.
+struct KokkosCounterPin {
+  const char* variant;
+  tl::SolverKind solver;
+  long iterations;
+  std::int64_t launches, bytes_read, bytes_written, flops, reductions,
+      halo_exchanges, h2d_bytes, d2h_bytes;
+};
+
+tea::RunResult kokkos_pin_run(const char* variant, tl::SolverKind solver) {
+  tl::ProblemConfig problem = results::bench_problem(32, 2);
+  problem.solver = solver;
+  if (solver == tl::SolverKind::kCg) {
+    problem.preconditioner = tl::PreconKind::kJacDiag;
+  }
+  tea::RunOptions options;
+  options.threads = 2;
+  return tea::run_simulation(variant, problem, options);
+}
+
+class KokkosCounters : public ::testing::TestWithParam<KokkosCounterPin> {};
+
+TEST_P(KokkosCounters, MatchPinnedValues) {
+  const KokkosCounterPin& pin = GetParam();
+  const tea::RunResult run = kokkos_pin_run(pin.variant, pin.solver);
+  const machine::Counters& c = run.counters;
+  EXPECT_EQ(run.total_iterations, pin.iterations);
+  EXPECT_EQ(c.kernel_launches, pin.launches);
+  EXPECT_EQ(c.bytes_read, pin.bytes_read);
+  EXPECT_EQ(c.bytes_written, pin.bytes_written);
+  EXPECT_EQ(c.flops, pin.flops);
+  EXPECT_EQ(c.reductions, pin.reductions);
+  EXPECT_EQ(c.halo_exchanges, pin.halo_exchanges);
+  EXPECT_EQ(c.h2d_bytes, pin.h2d_bytes);
+  EXPECT_EQ(c.d2h_bytes, pin.d2h_bytes);
+  EXPECT_EQ(c.messages, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, KokkosCounters,
+    ::testing::Values(
+        KokkosCounterPin{"kokkos-omp", tl::SolverKind::kJacobi, 480, 2038,
+                         33095680, 12107776, 8323072, 512, 506, 0, 0},
+        KokkosCounterPin{"kokkos-omp", tl::SolverKind::kCg, 56, 582, 9420800,
+                         2408448, 2240512, 176, 58, 0, 0},
+        KokkosCounterPin{"kokkos-omp", tl::SolverKind::kCheby, 54, 454,
+                         6438912, 1884160, 1333248, 116, 56, 0, 0},
+        KokkosCounterPin{"kokkos-omp", tl::SolverKind::kPpcg, 54, 454,
+                         6438912, 1884160, 1333248, 116, 56, 0, 0},
+        KokkosCounterPin{"kokkos-cuda", tl::SolverKind::kJacobi, 480, 2550,
+                         33103872, 12115968, 8847360, 512, 506, 0, 4096},
+        KokkosCounterPin{"kokkos-cuda", tl::SolverKind::kCg, 56, 758,
+                         9423616, 2411264, 2420736, 176, 58, 0, 1408},
+        KokkosCounterPin{"kokkos-cuda", tl::SolverKind::kCheby, 54, 570,
+                         6440768, 1886016, 1452032, 116, 56, 0, 928},
+        KokkosCounterPin{"kokkos-cuda", tl::SolverKind::kPpcg, 54, 570,
+                         6440768, 1886016, 1452032, 116, 56, 0, 928}),
+    [](const auto& info) {
+      std::string name = std::string(info.param.variant) + "_" +
+                         tl::to_string(info.param.solver);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+// simgpu reduces in block order over the flat cell range whatever policy
+// kind the backend reduces over, so a kokkos-cuda solve's bits are pinned.
+TEST(KokkosReductions, DeviceSummaryIsBitwisePinned) {
+  const tea::RunResult run =
+      kokkos_pin_run("kokkos-cuda", tl::SolverKind::kCg);
+  EXPECT_EQ(run.final_summary.vol, 0x1.9p+6);
+  EXPECT_EQ(run.final_summary.mass, 0x1.fbeep+12);
+  EXPECT_EQ(run.final_summary.ie, 0x1.7d80000029ad6p+5);
+  EXPECT_EQ(run.final_summary.temp, 0x1.7d80000029ad6p+5);
+}
+
 // raja-omp reductions fold per pool rank, so a solve's bits depend on the
 // thread count only — not on which OS threads exist or were created first.
 TEST(RajaReductions, SolveIsBitwiseRepeatableAfterThreadChurn) {
