@@ -161,13 +161,9 @@ void ManualAccBackend::scale_copy(FieldId dst, FieldId src, double sc) {
 double ManualAccBackend::dot(FieldId a, FieldId b) {
   CellView va = rv(a);
   CellView vb = rv(b);
-  const int nx = geom_.nx;
-  const long n = static_cast<long>(nx) * geom_.ny;
-  return region_->parallel_reduce_sum("acc_dot", n, [=](long idx) {
-    const int i = static_cast<int>(idx % nx);
-    const int j = static_cast<int>(idx / nx);
-    return va(i, j) * vb(i, j);
-  });
+  return region_->parallel_reduce_sum(
+      "acc_dot", geom_.nx, geom_.ny,
+      [=](int i, int j) { return va(i, j) * vb(i, j); });
 }
 
 void ManualAccBackend::axpy(FieldId y, double a, FieldId x) {
@@ -225,11 +221,8 @@ double ManualAccBackend::jacobi_iterate() {
   CellView kx = rv(FieldId::kKx);
   CellView ky = rv(FieldId::kKy);
   const double rx = rx_, ry = ry_;
-  const int nx = geom_.nx;
-  const long n = static_cast<long>(nx) * geom_.ny;
-  const double err = region_->parallel_reduce_sum("acc_jacobi", n, [=](long idx) {
-    const int i = static_cast<int>(idx % nx);
-    const int j = static_cast<int>(idx / nx);
+  const double err = region_->parallel_reduce_sum(
+      "acc_jacobi", geom_.nx, geom_.ny, [=](int i, int j) {
     const double diag = 1.0 + rx * (kx(i + 1, j) + kx(i, j)) +
                         ry * (ky(i, j + 1) + ky(i, j));
     const double off =
@@ -248,23 +241,19 @@ FieldSummary ManualAccBackend::field_summary() {
   CellView energy = rv(FieldId::kEnergy0);
   CellView u = rv(FieldId::kU);
   const int nx = geom_.nx;
-  const long n = static_cast<long>(nx) * geom_.ny;
+  const int ny = geom_.ny;
   const double vol_cell = cell_volume_;
   FieldSummary s;
-  s.vol = vol_cell * static_cast<double>(n);
-  s.mass = region_->parallel_reduce_sum("acc_summary_mass", n, [=](long idx) {
-    return density(static_cast<int>(idx % nx), static_cast<int>(idx / nx)) *
-           vol_cell;
-  });
-  s.ie = region_->parallel_reduce_sum("acc_summary_ie", n, [=](long idx) {
-    const int i = static_cast<int>(idx % nx);
-    const int j = static_cast<int>(idx / nx);
-    return density(i, j) * energy(i, j) * vol_cell;
-  });
-  s.temp = region_->parallel_reduce_sum("acc_summary_temp", n, [=](long idx) {
-    return u(static_cast<int>(idx % nx), static_cast<int>(idx / nx)) *
-           vol_cell;
-  });
+  s.vol = vol_cell * static_cast<double>(static_cast<long>(nx) * ny);
+  s.mass = region_->parallel_reduce_sum(
+      "acc_summary_mass", nx, ny,
+      [=](int i, int j) { return density(i, j) * vol_cell; });
+  s.ie = region_->parallel_reduce_sum(
+      "acc_summary_ie", nx, ny,
+      [=](int i, int j) { return density(i, j) * energy(i, j) * vol_cell; });
+  s.temp = region_->parallel_reduce_sum(
+      "acc_summary_temp", nx, ny,
+      [=](int i, int j) { return u(i, j) * vol_cell; });
   return s;
 }
 

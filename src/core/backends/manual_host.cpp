@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -180,19 +181,12 @@ TL_TARGET_CLONES void coefficients_band(ConstCellView density, CellView kx,
   }
 }
 
-/// Four simultaneous summary reductions folded through one pass.
-struct SummaryQuad {
-  double vol = 0.0, mass = 0.0, ie = 0.0, temp = 0.0;
-};
-
-TL_TARGET_CLONES SummaryQuad summary_band(ConstCellView density,
-                                          ConstCellView energy,
-                                          ConstCellView u, double vol_cell,
-                                          int nx, int j0, int j1) {
-  const FieldSummary s =
-      ref::field_summary(shifted(density, j0), shifted(energy, j0),
-                         shifted(u, j0), vol_cell, nx, j1 - j0);
-  return SummaryQuad{s.vol, s.mass, s.ie, s.temp};
+TL_TARGET_CLONES FieldSummary summary_band(ConstCellView density,
+                                           ConstCellView energy,
+                                           ConstCellView u, double vol_cell,
+                                           int nx, int j0, int j1) {
+  return ref::field_summary(shifted(density, j0), shifted(energy, j0),
+                            shifted(u, j0), vol_cell, nx, j1 - j0);
 }
 
 /// Charge one kernel's footprint: local traffic always (per-rank sums give
@@ -282,18 +276,13 @@ void ManualHostBackend::rows(const RowFn& fn) {
 
 template <typename MapFn>
 double ManualHostBackend::reduce_rows(const MapFn& fn) {
-  const int ny = geom().ny;
-  double local = 0.0;
-  if (pool_ != nullptr) {
-    local = pool_->parallel_reduce<double>(
-        0, ny, 0.0,
-        [&](long lo, long hi) {
-          return fn(static_cast<int>(lo), static_cast<int>(hi));
-        },
-        [](double a, double b) { return a + b; });
-  } else {
-    local = fn(0, ny);
-  }
+  double local = tlp::reduce_rows(
+      pool_, geom().ny, 0.0,
+      [&](long j) {
+        const int row = static_cast<int>(j);
+        return fn(row, row + 1);
+      },
+      std::plus<>());
   if (comm_ != nullptr) {
     local = comm_->allreduce(local, minimpi::ReduceOp::kSum);
   }
@@ -552,27 +541,21 @@ FieldSummary ManualHostBackend::field_summary() {
   const int ny = geom().ny;
   const double vol_cell = cell_volume_;
 
-  SummaryQuad total;
-  if (pool_ != nullptr) {
-    // Per-thread partials combined in thread order (deterministic), same as
-    // every other reduction here — no mutex on the accumulation path.
-    total = pool_->parallel_reduce<SummaryQuad>(
-        0, ny, SummaryQuad{},
-        [&](long lo, long hi) {
-          return summary_band(density, energy, u, vol_cell, nx,
-                              static_cast<int>(lo), static_cast<int>(hi));
-        },
-        [](SummaryQuad a, const SummaryQuad& b) {
-          a.vol += b.vol;
-          a.mass += b.mass;
-          a.ie += b.ie;
-          a.temp += b.temp;
-          return a;
-        });
-  } else {
-    total = summary_band(density, energy, u, vol_cell, nx, 0, ny);
-  }
-  FieldSummary s{total.vol, total.mass, total.ie, total.temp};
+  // One partial per row, folded in row order like every other reduction
+  // here: the bits equal ref::field_summary's at any pool size.
+  FieldSummary s = tlp::reduce_rows(
+      pool_, ny, FieldSummary{},
+      [&](long j) {
+        const int row = static_cast<int>(j);
+        return summary_band(density, energy, u, vol_cell, nx, row, row + 1);
+      },
+      [](FieldSummary a, const FieldSummary& b) {
+        a.vol += b.vol;
+        a.mass += b.mass;
+        a.ie += b.ie;
+        a.temp += b.temp;
+        return a;
+      });
   if (comm_ != nullptr) {
     double vals[4] = {s.vol, s.mass, s.ie, s.temp};
     comm_->allreduce(tl::span<double>(vals), minimpi::ReduceOp::kSum);

@@ -75,7 +75,8 @@ private:
   /// Work-share rows [0, ny) over the pool (or run inline when serial).
   template <typename RowFn>
   void rows(const RowFn& fn);
-  /// Row-wise mapped reduction returning the comm-wide combined value.
+  /// `fn(j, j + 1)` per row, folded in row order (tlp::reduce_rows) and
+  /// then combined across ranks.
   template <typename MapFn>
   double reduce_rows(const MapFn& fn);
   /// Split-phase exchange of one layer of `exchanged` overlapped with the

@@ -17,10 +17,11 @@
 // vectorizes without runtime aliasing checks.  Per-element arithmetic is
 // spelled exactly as the operator definition above — vectorization must not
 // change results bitwise.  Reductions (dot, jacobi error) use an explicit
-// four-lane partial-accumulator scheme per row; that fixed association order
-// is the repo-wide contract for deterministic reductions (the golden suite
-// freezes numbers produced through it), independent of the vector width the
-// target machine happens to have.
+// four-lane partial-accumulator scheme per row, and row partials are added
+// in row order; that fixed association is the repo-wide contract for
+// deterministic reductions (the golden suite freezes numbers produced
+// through it), independent of the vector width the target machine happens
+// to have and — through tlp::fold_rows — of the thread count.
 #pragma once
 
 #include <cmath>
@@ -302,6 +303,8 @@ inline double jacobi_sweep(ConstCellView uold, ConstCellView u0, CellView u,
   return err;
 }
 
+/// Summary sums with the same shape as every other reduction: one partial
+/// per row, added into the total in row order.
 inline FieldSummary field_summary(ConstCellView density, ConstCellView energy,
                                   ConstCellView u, double cell_volume, int nx,
                                   int ny) {
@@ -310,13 +313,18 @@ inline FieldSummary field_summary(ConstCellView density, ConstCellView energy,
     const double* TL_RESTRICT dr = row(density, j);
     const double* TL_RESTRICT er = row(energy, j);
     const double* TL_RESTRICT ur = row(u, j);
+    FieldSummary r;
     for (int i = 0; i < nx; ++i) {
       const double vol = cell_volume;
-      s.vol += vol;
-      s.mass += dr[i] * vol;
-      s.ie += dr[i] * er[i] * vol;
-      s.temp += ur[i] * vol;
+      r.vol += vol;
+      r.mass += dr[i] * vol;
+      r.ie += dr[i] * er[i] * vol;
+      r.temp += ur[i] * vol;
     }
+    s.vol += r.vol;
+    s.mass += r.mass;
+    s.ie += r.ie;
+    s.temp += r.temp;
   }
   return s;
 }

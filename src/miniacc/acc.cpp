@@ -1,5 +1,7 @@
 #include "miniacc/acc.hpp"
 
+#include <functional>
+
 #include "common/error.hpp"
 #include "machine/instrumentation.hpp"
 
@@ -112,19 +114,22 @@ void DataRegion::parallel_loop_2d(const std::string& name, int nx, int ny,
 }
 
 double DataRegion::parallel_reduce_sum(
-    const std::string& name, long n,
-    const std::function<double(long)>& value_of) {
+    const std::string& name, int nx, int ny,
+    const std::function<double(int, int)>& value_of) {
+  const long n = static_cast<long>(nx) * ny;
   if (target_ == Target::kDevice) {
-    return device_->reduce_sum(name, n, value_of);
+    return device_->reduce_sum(name, n, [&](long idx) {
+      return value_of(static_cast<int>(idx % nx), static_cast<int>(idx / nx));
+    });
   }
-  const double result = pool().parallel_reduce<double>(
-      0, n, 0.0,
-      [&](long lo, long hi) {
+  const double result = tlp::reduce_rows(
+      &pool(), ny, 0.0,
+      [&](long j) {
         double acc = 0.0;
-        for (long i = lo; i < hi; ++i) acc += value_of(i);
+        for (int i = 0; i < nx; ++i) acc += value_of(i, static_cast<int>(j));
         return acc;
       },
-      [](double a, double b) { return a + b; });
+      std::plus<>());
   machine::Instrumentation& counts = machine::sink();
   counts.add_launch();
   counts.add_reduction();

@@ -67,9 +67,12 @@ public:
                         const KernelTraffic& traffic,
                         const std::function<void(int, int)>& body);
 
-  /// `#pragma acc parallel loop reduction(+:sum)`.
-  double parallel_reduce_sum(const std::string& name, long n,
-                             const std::function<double(long)>& value_of);
+  /// `#pragma acc parallel loop collapse(2) reduction(+:sum)` over
+  /// [0,nx) x [0,ny).  The host target keeps one partial per row, folded in
+  /// row order (tlp::reduce_rows); the device target reduces the flat
+  /// row-major index space in its block order.
+  double parallel_reduce_sum(const std::string& name, int nx, int ny,
+                             const std::function<double(int, int)>& value_of);
 
 private:
   struct Mapping {

@@ -6,9 +6,11 @@
 // A policy carries its execution-space instance (a Threads instance names
 // the pool to run on).  Host executions count one kernel launch in the
 // instrumentation, and a reduce one reduction besides; SimGPU executions
-// delegate to simgpu::Device, which counts its own.  The MDRange reduce
-// walks rows on the host (one register accumulator per chunk of rows, the
-// pool splitting over i0) and the flat row-major index space on SimGPU.
+// delegate to simgpu::Device, which counts its own.  Threads reductions
+// fold in tlp's row order, so their bits do not depend on the pool size:
+// the MDRange reduce keeps one partial per i0 row, the RangePolicy reduce
+// one per fixed block of indices (ThreadPool::parallel_reduce).  SimGPU
+// reduces the flat row-major index space in the device's block order.
 #pragma once
 
 #include <functional>
@@ -124,31 +126,35 @@ void parallel_reduce(const std::string& name, RangePolicy<Exec> p, F&& f,
 }
 
 /// 2-D sum (Kokkos::parallel_reduce over MDRangePolicy<Rank<2>>).  Host
-/// spaces keep one accumulator per work chunk of rows and sweep each row
-/// along i1, so no flat index is decoded per element; Threads partials are
-/// combined in thread order.  SimGPU reduces the flat row-major index space
-/// [0, n0*n1) exactly as a RangePolicy reduce over the same cells does, so
-/// the device's block order — and its bits — are the same for both.
+/// spaces sweep each row along i1, so no flat index is decoded per element:
+/// Serial into one accumulator, Threads into one partial per row, folded in
+/// row order (tlp::reduce_rows).  SimGPU reduces the flat row-major index
+/// space [0, n0*n1) exactly as a RangePolicy reduce over the same cells does,
+/// so the device's block order — and its bits — are the same for both.
 template <typename Exec, typename F>
 void parallel_reduce(const std::string& name, MDRangePolicy2<Exec> p, F&& f,
                      double& result) {
   (void)name;
-  const auto rows = [&](long lo, long hi) {
+  if constexpr (std::is_same_v<Exec, Serial>) {
     double acc = 0.0;
-    for (long i0 = lo; i0 < hi; ++i0) {
+    for (long i0 = p.begin0; i0 < p.end0; ++i0) {
       for (long i1 = p.begin1; i1 < p.end1; ++i1) f(i0, i1, acc);
     }
-    return acc;
-  };
-  if constexpr (std::is_same_v<Exec, Serial>) {
-    result = rows(p.begin0, p.end0);
+    result = acc;
     machine::Instrumentation& counts = machine::sink();
     counts.add_launch();
     counts.add_reduction();
   } else if constexpr (std::is_same_v<Exec, Threads>) {
-    result = thread_pool(p.space).template parallel_reduce<double>(
-        p.begin0, p.end0, 0.0, rows,
-        [](double a, double b) { return a + b; });
+    result = tlp::reduce_rows(
+        &thread_pool(p.space), p.end0 - p.begin0, 0.0,
+        [&](long row) {
+          double acc = 0.0;
+          for (long i1 = p.begin1; i1 < p.end1; ++i1) {
+            f(p.begin0 + row, i1, acc);
+          }
+          return acc;
+        },
+        std::plus<>());
     machine::Instrumentation& counts = machine::sink();
     counts.add_launch();
     counts.add_reduction();

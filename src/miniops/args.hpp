@@ -9,7 +9,6 @@
 #include "miniops/dat.hpp"
 #include "miniops/range.hpp"
 #include "miniops/stencil.hpp"
-#include "threading/thread_id.hpp"
 
 namespace ops {
 
@@ -43,61 +42,28 @@ private:
   int stride_;
 };
 
-/// Per-thread reduction scratch for one global argument.  Kernels receive a
-/// `double&` slot; slots are padded against false sharing and folded after
-/// the loop (then allreduced across ranks by the Context).
-class GblScratch {
-public:
-  explicit GblScratch(ReduceOp op) : op_(op) {
-    reset();
+/// Most global-reduction arguments one par_loop takes (TeaLeaf's field
+/// summary uses four).
+inline constexpr int kMaxGbls = 4;
+
+/// One value per global argument of a loop, in argument order: a row's
+/// partials, a device block's, or the loop's combined result.
+using GblValues = std::array<double, kMaxGbls>;
+
+/// The value a reduction starts from.
+inline double identity_of(ReduceOp op) {
+  switch (op) {
+    case ReduceOp::kSum: return 0.0;
+    case ReduceOp::kProd: return 1.0;
+    case ReduceOp::kMin: return std::numeric_limits<double>::infinity();
+    case ReduceOp::kMax: return -std::numeric_limits<double>::infinity();
   }
-
-  void reset() {
-    const double identity = identity_of(op_);
-    for (auto& s : slots_) s.value = identity;
-  }
-
-  double& slot() {
-    return slots_[static_cast<std::size_t>(tlp::current_thread_id())].value;
-  }
-
-  /// Fold a band-local partial into this thread's slot.  The par_loop host
-  /// executor accumulates each chunk into a stack local and calls this once
-  /// per chunk, so the hot loop touches neither thread-local storage nor the
-  /// shared slot array.
-  void accumulate(double band_value) {
-    double& s = slot();
-    s = minimpi::apply(op_, s, band_value);
-  }
-
-  double combined() const {
-    double acc = identity_of(op_);
-    for (const auto& s : slots_) acc = minimpi::apply(op_, acc, s.value);
-    return acc;
-  }
-
-  ReduceOp op() const { return op_; }
-
-  static double identity_of(ReduceOp op) {
-    switch (op) {
-      case ReduceOp::kSum: return 0.0;
-      case ReduceOp::kProd: return 1.0;
-      case ReduceOp::kMin: return std::numeric_limits<double>::infinity();
-      case ReduceOp::kMax: return -std::numeric_limits<double>::infinity();
-    }
-    return 0.0;
-  }
-
-private:
-  struct alignas(64) Slot {
-    double value;
-  };
-  ReduceOp op_;
-  std::array<Slot, tlp::kMaxThreadIds> slots_;
-};
+  return 0.0;
+}
 
 /// Global-reduction argument: result lands in `*target` once the loop (and
-/// any cross-rank combine) completes.
+/// any cross-rank combine) completes.  Kernels accumulate into one partial
+/// per row (per thread block on a device), folded in row (block) order.
 struct ArgGbl {
   double* target;
   ReduceOp op;

@@ -97,17 +97,20 @@ Range Context::clip_to_local(const Range& global, const Dat& dat) const {
   return r;
 }
 
-double Context::finish_reduction(double local, ReduceOp op) {
-  double result = local;
-  if (options_.comm != nullptr) {
-    result = options_.comm->allreduce(local, op);
+GblValues Context::finish_reductions(const LoopRecord& loop,
+                                     GblValues local) {
+  for (int k = 0; k < loop.n_gbls; ++k) {
+    const auto g = static_cast<std::size_t>(k);
+    if (options_.comm != nullptr) {
+      local[g] = options_.comm->allreduce(local[g], loop.gbl_ops[g]);
+    }
+    if (counts_globally()) {
+      machine::Instrumentation& counts = machine::sink();
+      counts.add_reduction();
+      if (is_device()) counts.add_d2h(8);
+    }
   }
-  if (counts_globally()) {
-    machine::Instrumentation& counts = machine::sink();
-    counts.add_reduction();
-    if (is_device()) counts.add_d2h(8);
-  }
-  return result;
+  return local;
 }
 
 // --- halo management ----------------------------------------------------------
@@ -302,7 +305,8 @@ void Context::enqueue_reflection(Dat& dat, int depth) {
   rec.dats.push_back(LoopRecord::DatUse{&dat, AccessMode::kReadWrite, -reach,
                                         reach, -reach, reach});
   Dat* d = &dat;
-  rec.host_exec = [d, nx, ny, depth](int /*x0*/, int /*x1*/, int y0, int y1) {
+  rec.exec = [d, nx, ny, depth](int /*x0*/, int /*x1*/, int y0, int y1,
+                                double* /*gbl*/) {
     // X mirror for the interior rows of this band (row-local).
     for (int j = std::max(y0, 0); j < std::min(y1, ny); ++j) {
       for (int k = 0; k < depth; ++k) {
@@ -417,30 +421,69 @@ void Context::mark_after_execution(const LoopRecord& loop) {
   }
 }
 
-void Context::run_host_loop(const LoopRecord& loop) {
+namespace {
+
+/// Each global argument's identity: where the fold over the row (block)
+/// partials starts.
+GblValues identities(const LoopRecord& loop) {
+  GblValues v{};
+  for (int k = 0; k < loop.n_gbls; ++k) {
+    const auto g = static_cast<std::size_t>(k);
+    v[g] = identity_of(loop.gbl_ops[g]);
+  }
+  return v;
+}
+
+GblValues fold_gbls(const LoopRecord& loop, GblValues acc,
+                    const GblValues& partial) {
+  for (int k = 0; k < loop.n_gbls; ++k) {
+    const auto g = static_cast<std::size_t>(k);
+    acc[g] = minimpi::apply(loop.gbl_ops[g], acc[g], partial[g]);
+  }
+  return acc;
+}
+
+}  // namespace
+
+GblValues Context::run_host_loop(const LoopRecord& loop) {
   prepare_reads(loop);
   flush();  // prepare_reads may have queued halo reflections
   const Range& r = loop.local_range;
-  if (!r.empty()) {
-    tlp::ThreadPool* p = pool();
-    if (p != nullptr) {
-      p->parallel_for(r.y0, r.y1, [&](long lo, long hi) {
-        loop.host_exec(r.x0, r.x1, static_cast<int>(lo), static_cast<int>(hi));
-      });
-    } else {
-      loop.host_exec(r.x0, r.x1, r.y0, r.y1);
-    }
+  GblValues result = identities(loop);
+  if (r.empty()) {
+    // Nothing to run; a reduction still yields its identity.
+  } else if (loop.n_gbls > 0) {
+    result = tlp::reduce_rows(
+        pool(), r.y1 - r.y0, result,
+        [&](long row) {
+          GblValues partial{};
+          const int j = r.y0 + static_cast<int>(row);
+          loop.exec(r.x0, r.x1, j, j + 1, partial.data());
+          return partial;
+        },
+        [&](const GblValues& acc, const GblValues& partial) {
+          return fold_gbls(loop, acc, partial);
+        });
+  } else if (tlp::ThreadPool* p = pool(); p != nullptr) {
+    p->parallel_for(r.y0, r.y1, [&](long lo, long hi) {
+      loop.exec(r.x0, r.x1, static_cast<int>(lo), static_cast<int>(hi),
+                nullptr);
+    });
+  } else {
+    loop.exec(r.x0, r.x1, r.y0, r.y1, nullptr);
   }
   mark_after_execution(loop);
   charge_loop_traffic(loop);
   ++loops_executed_;
+  return finish_reductions(loop, result);
 }
 
-void Context::run_device_loop(LoopRecord& loop) {
+GblValues Context::run_device_loop(LoopRecord& loop) {
   for (const auto& use : loop.dats) {
     ensure_on_device(*use.dat);
   }
   const Range& r = loop.local_range;
+  GblValues result = identities(loop);
   if (!r.empty()) {
     const long long cells = r.cells();
     std::int64_t br = 0, bw = 0;
@@ -448,10 +491,18 @@ void Context::run_device_loop(LoopRecord& loop) {
       if (reads(use.mode)) br += cells * 8;
       if (writes(use.mode)) bw += cells * 8;
     }
-    options_.device->launch_2d(
+    options_.device->launch_2d_blocks(
         loop.name, r.x1 - r.x0, r.y1 - r.y0,
         {br, bw, cells * loop.flops_per_cell},
-        [&](int x, int y) { loop.device_elem(r.x0 + x, r.y0 + y); });
+        [&](const simgpu::Block2D& b) {
+          GblValues partial{};
+          loop.exec(r.x0 + b.x0, r.x0 + b.x1, r.y0 + b.y0, r.y0 + b.y1,
+                    partial.data());
+          return partial;
+        },
+        [&](const GblValues& partial) {
+          result = fold_gbls(loop, result, partial);
+        });
   }
   for (const auto& use : loop.dats) {
     if (writes(use.mode)) {
@@ -460,21 +511,15 @@ void Context::run_device_loop(LoopRecord& loop) {
     }
   }
   ++loops_executed_;
+  return finish_reductions(loop, result);
 }
 
-void Context::execute(LoopRecord&& loop) {
-  if (is_device()) {
-    run_device_loop(loop);
-    return;
-  }
-  if (!options_.tiled) {
-    run_host_loop(loop);
-    return;
-  }
-  if (loop.has_reduction) {
+GblValues Context::execute(LoopRecord&& loop) {
+  if (is_device()) return run_device_loop(loop);
+  if (!options_.tiled) return run_host_loop(loop);
+  if (loop.n_gbls > 0) {
     flush();
-    run_host_loop(loop);
-    return;
+    return run_host_loop(loop);
   }
 
   // Tiled path.  A stencil read of a dat with a stale halo is a hazard:
@@ -491,8 +536,7 @@ void Context::execute(LoopRecord&& loop) {
         enqueue_reflection(*use.dat, use.dat->halo_depth());
       } else {
         flush();
-        run_host_loop(loop);  // prepare_reads refreshes any dirty halos
-        return;
+        return run_host_loop(loop);  // prepare_reads refreshes dirty halos
       }
     }
   }
@@ -510,6 +554,7 @@ void Context::execute(LoopRecord&& loop) {
 
   queue_.push_back(std::move(loop));
   if (static_cast<int>(queue_.size()) >= options_.tile.max_chain) flush();
+  return GblValues{};
 }
 
 void Context::flush() {
@@ -536,11 +581,11 @@ void Context::flush() {
       const Range& r = chain[k].local_range;
       if (p != nullptr) {
         p->parallel_for(s.y_begin, s.y_end, [&](long lo, long hi) {
-          chain[k].host_exec(r.x0, r.x1, static_cast<int>(lo),
-                             static_cast<int>(hi));
+          chain[k].exec(r.x0, r.x1, static_cast<int>(lo),
+                        static_cast<int>(hi), nullptr);
         });
       } else {
-        chain[k].host_exec(r.x0, r.x1, s.y_begin, s.y_end);
+        chain[k].exec(r.x0, r.x1, s.y_begin, s.y_end, nullptr);
       }
     }
   }

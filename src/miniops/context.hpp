@@ -10,6 +10,7 @@
 // with real OPS over MPI.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -65,7 +66,9 @@ struct LoopRecord {
     int xlo, xhi;
   };
   std::vector<DatUse> dats;
-  bool has_reduction = false;
+  /// Global-reduction arguments, in argument order.
+  int n_gbls = 0;
+  std::array<ReduceOp, kMaxGbls> gbl_ops{};
   /// Queued halo-maintenance record (reflection): clears rather than sets
   /// the halo dirty bit, and bypasses the stencil-hazard check.
   bool is_halo_update = false;
@@ -74,10 +77,11 @@ struct LoopRecord {
   /// local_range.cells().
   std::int64_t traffic_cells_override = -1;
 
-  /// Execute rows [y0,y1) x columns [x0,x1) (local coords) on host memory.
-  std::function<void(int x0, int x1, int y0, int y1)> host_exec;
-  /// Execute one element (local coords) on device memory.
-  std::function<void(int i, int j)> device_elem;
+  /// Execute rows [y0,y1) x columns [x0,x1) (local coords) on the
+  /// context's memory, host or device, accumulating global arguments into
+  /// `gbl`: the GblValues of the row (host) or thread block (device) being
+  /// run, null for loops without global arguments.
+  std::function<void(int x0, int x1, int y0, int y1, double* gbl)> exec;
 };
 
 class Context {
@@ -97,10 +101,10 @@ public:
 
   /// Queue or run a loop.  Loops with reductions and device loops are always
   /// eager; in tiled mode other loops are queued for chained execution.
-  void execute(LoopRecord&& loop);
-
-  /// Combine a locally-reduced value across ranks (identity op without MPI).
-  double finish_reduction(double local, ReduceOp op);
+  /// Returns the loop's global-argument values (the first loop.n_gbls
+  /// entries): row partials (device block partials) folded in row (block)
+  /// order, then combined across ranks.
+  GblValues execute(LoopRecord&& loop);
 
   // --- halo management --------------------------------------------------------
 
@@ -140,8 +144,10 @@ public:
   long flushes() const { return flushes_; }
 
 private:
-  void run_host_loop(const LoopRecord& loop);
-  void run_device_loop(LoopRecord& loop);
+  GblValues run_host_loop(const LoopRecord& loop);
+  GblValues run_device_loop(LoopRecord& loop);
+  /// Combine locally-reduced values across ranks (identity without MPI).
+  GblValues finish_reductions(const LoopRecord& loop, GblValues local);
   void prepare_reads(const LoopRecord& loop);
   /// True when halo maintenance can join the lazy queue: tiled host context
   /// whose halos are pure reflections (no other rank to exchange with).

@@ -7,12 +7,15 @@
 //
 // Kernel parameters correspond positionally to the trailing argument
 // descriptors: ArgDat -> ops::Acc bound to the current point, ArgGbl ->
-// double& (a per-thread reduction slot; the final combined/allreduced value
-// lands in the ArgGbl's target after the call).
+// double& (the current row's partial on the host, the current thread
+// block's on a device; the Context folds the partials in row or block order
+// and the combined/allreduced value lands in the ArgGbl's target after the
+// call).
 #pragma once
 
-#include <memory>
+#include <array>
 #include <tuple>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "miniops/context.hpp"
@@ -21,65 +24,48 @@ namespace ops {
 
 namespace detail {
 
-struct HostBind {
+// --- band execution ------------------------------------------------------------
+//
+// One executor serves host and device.  It binds arguments once per band of
+// rows — a host chunk, one row of a reducing host loop, or one device thread
+// block — not once per element: a dat binds to its host or device origin,
+// and a reduction argument becomes a stack-local accumulator (GblBand),
+// started at its identity, that the kernel updates through a plain double&
+// and that is written to the band's partial afterwards.  So a dot-product
+// par_loop runs at the speed of the underlying row reduction.
+
+/// A global argument: its position in the loop's GblValues, and the
+/// identity its band accumulator starts from.
+struct GblBind {
+  int index;
+  double identity;
+};
+
+struct DatBand {
   double* origin;
   int stride;
 };
-struct DevBind {
-  Dat* dat;
-};
-using GblBind = std::shared_ptr<GblScratch>;
-
-inline HostBind bind_host(const ArgDat& a) {
-  return HostBind{a.dat->origin(), a.dat->row_stride()};
-}
-inline const GblBind& bind_host(const GblBind& g) { return g; }
-
-inline DevBind bind_dev(const ArgDat& a) { return DevBind{a.dat}; }
-inline const GblBind& bind_dev(const GblBind& g) { return g; }
-
-template <typename B>
-decltype(auto) deref(const B& b, int i, int j) {
-  if constexpr (std::is_same_v<B, HostBind>) {
-    return Acc(b.origin + static_cast<std::ptrdiff_t>(j) * b.stride + i,
-               b.stride);
-  } else if constexpr (std::is_same_v<B, DevBind>) {
-    double* origin = b.dat->device_origin();
-    const int stride = b.dat->row_stride();
-    return Acc(origin + static_cast<std::ptrdiff_t>(j) * stride + i, stride);
-  } else {
-    static_assert(std::is_same_v<B, GblBind>, "unknown binder");
-    return static_cast<double&>(b->slot());
-  }
-}
-
-// --- host band execution ------------------------------------------------------
-//
-// The host executor binds arguments once per chunk, not once per element: a
-// reduction argument becomes a stack-local accumulator (GblBand) that the
-// kernel updates through a plain double&, flushed into the per-thread slot
-// after the chunk.  This keeps thread-id TLS lookups and the (padded but
-// still shared) slot array out of the inner loop, so a dot-product par_loop
-// runs at the speed of the underlying row reduction.
-
 struct GblBand {
-  GblScratch* scratch;
+  double* partial;
   double local;
 };
 
-inline HostBind bind_band(const ArgDat& a) { return bind_host(a); }
-inline GblBand bind_band(const GblBind& g) {
-  return GblBand{g.get(), GblScratch::identity_of(g->op())};
+inline DatBand bind_band(const ArgDat& a, bool device, double* /*gbl*/) {
+  return DatBand{device ? a.dat->device_origin() : a.dat->origin(),
+                 a.dat->row_stride()};
+}
+inline GblBand bind_band(const GblBind& g, bool /*device*/, double* gbl) {
+  return GblBand{gbl + g.index, g.identity};
 }
 
-inline Acc band_deref(HostBind& b, int i, int j) {
+inline Acc band_deref(DatBand& b, int i, int j) {
   return Acc(b.origin + static_cast<std::ptrdiff_t>(j) * b.stride + i,
              b.stride);
 }
 inline double& band_deref(GblBand& g, int /*i*/, int /*j*/) { return g.local; }
 
-inline void band_flush(HostBind&) {}
-inline void band_flush(GblBand& g) { g.scratch->accumulate(g.local); }
+inline void band_flush(DatBand&) {}
+inline void band_flush(GblBand& g) { *g.partial = g.local; }
 
 // Argument classification helpers.
 inline void collect(LoopRecord& rec, const ArgDat& a) {
@@ -87,26 +73,22 @@ inline void collect(LoopRecord& rec, const ArgDat& a) {
                                         a.stencil->yhi(), a.stencil->xlo(),
                                         a.stencil->xhi()});
 }
-inline void collect(LoopRecord& rec, const ArgGbl&) {
-  rec.has_reduction = true;
-}
+inline void collect(LoopRecord&, const ArgGbl&) {}
 
-/// Normalize an argument for closure capture: ArgGbl becomes a shared
-/// scratch, ArgDat passes through.
-struct NormalizedGbl {
-  GblBind scratch;
-  double* target;
-  ReduceOp op;
+/// Normalize an argument for closure capture: an ArgGbl takes the next
+/// GblValues position (recording its op and target), an ArgDat passes
+/// through.
+struct Gbls {
+  LoopRecord& rec;
+  std::array<double*, kMaxGbls> targets{};
 };
 
-inline const ArgDat& normalize(const ArgDat& a,
-                               std::vector<NormalizedGbl>&) {
-  return a;
-}
-inline GblBind normalize(const ArgGbl& g, std::vector<NormalizedGbl>& gbls) {
-  auto scratch = std::make_shared<GblScratch>(g.op);
-  gbls.push_back(NormalizedGbl{scratch, g.target, g.op});
-  return scratch;
+inline const ArgDat& normalize(const ArgDat& a, Gbls&) { return a; }
+inline GblBind normalize(const ArgGbl& g, Gbls& gbls) {
+  const int index = gbls.rec.n_gbls++;
+  gbls.rec.gbl_ops[static_cast<std::size_t>(index)] = g.op;
+  gbls.targets[static_cast<std::size_t>(index)] = g.target;
+  return GblBind{index, identity_of(g.op)};
 }
 
 inline const Dat* first_dat() { return nullptr; }
@@ -124,6 +106,8 @@ const Dat* first_dat(const A0&, const Rest&... rest) {
 template <typename Kernel, typename... Args>
 void par_loop(Context& ctx, const std::string& name, const Range& global_range,
               int flops_per_cell, Kernel kernel, Args... args) {
+  static_assert((0 + ... + std::is_same_v<Args, ArgGbl>) <= kMaxGbls,
+                "par_loop takes at most kMaxGbls global arguments");
   const Dat* anchor = detail::first_dat(args...);
   TL_REQUIRE(anchor != nullptr, "par_loop needs at least one dat argument");
 
@@ -132,43 +116,34 @@ void par_loop(Context& ctx, const std::string& name, const Range& global_range,
   rec.flops_per_cell = flops_per_cell;
   rec.local_range = ctx.clip_to_local(global_range, *anchor);
   (detail::collect(rec, args), ...);
+  detail::Gbls gbls{rec};
+  auto binders_src = std::tuple{detail::normalize(args, gbls)...};
 
-  std::vector<detail::NormalizedGbl> gbls;
-  auto binders_src = std::make_tuple(detail::normalize(args, gbls)...);
-
-  if (ctx.is_device()) {
-    rec.device_elem = [kernel, binders = std::move(binders_src)](int i, int j) {
-      std::apply(
-          [&](const auto&... b) {
-            kernel(detail::deref(detail::bind_dev(b), i, j)...);
-          },
-          binders);
-    };
-  } else {
-    rec.host_exec = [kernel, binders = std::move(binders_src)](
-                        int x0, int x1, int y0, int y1) {
-      std::apply(
-          [&](const auto&... b) {
-            auto band = std::make_tuple(detail::bind_band(b)...);
-            std::apply(
-                [&](auto&... bb) {
-                  for (int j = y0; j < y1; ++j) {
-                    for (int i = x0; i < x1; ++i) {
-                      kernel(detail::band_deref(bb, i, j)...);
-                    }
+  rec.exec = [kernel, device = ctx.is_device(),
+              binders = std::move(binders_src)](int x0, int x1, int y0, int y1,
+                                                double* gbl) {
+    std::apply(
+        [&](const auto&... b) {
+          auto band = std::make_tuple(detail::bind_band(b, device, gbl)...);
+          std::apply(
+              [&](auto&... bb) {
+                for (int j = y0; j < y1; ++j) {
+                  for (int i = x0; i < x1; ++i) {
+                    kernel(detail::band_deref(bb, i, j)...);
                   }
-                  (detail::band_flush(bb), ...);
-                },
-                band);
-          },
-          binders);
-    };
-  }
+                }
+                (detail::band_flush(bb), ...);
+              },
+              band);
+        },
+        binders);
+  };
 
-  ctx.execute(std::move(rec));
-
-  for (const detail::NormalizedGbl& g : gbls) {
-    *g.target = ctx.finish_reduction(g.scratch->combined(), g.op);
+  const int n_gbls = rec.n_gbls;
+  const GblValues result = ctx.execute(std::move(rec));
+  for (int k = 0; k < n_gbls; ++k) {
+    *gbls.targets[static_cast<std::size_t>(k)] =
+        result[static_cast<std::size_t>(k)];
   }
 }
 

@@ -27,16 +27,14 @@
 // plan's *variant/solver/preconditioner/fusion* choice but executes
 // shared-memory variants on the worker's fixed-size pool rather than the
 // plan's measured thread count — worker shard sizes are a deployment
-// decision.  Threaded reductions fold per-thread partials, so results are
-// bitwise reproducible at a fixed thread count but can differ in the last
-// bits (and occasionally by an iteration) between thread counts: a
-// response equals a sequential run_simulation at the shard's thread count,
-// not at the plan's (perfbench/NOTES.md, "Known defect").
+// decision.  That choice is result-neutral: every host reduction folds one
+// partial per row in row order (tlp::fold_rows), so a response is bitwise
+// the same at any thread count (tests/test_thread_count.cpp).
 //
 // Determinism contract (asserted by tests/test_service.cpp): a batched
-// solve is bit-identical to the same problem solved sequentially at the
-// shard's thread count — batching amortises plan resolution and
-// allocation, never changes numerics.
+// solve is bit-identical to the same problem solved sequentially —
+// batching amortises plan resolution and allocation, never changes
+// numerics.
 //
 // Library-first: tests, benches and tools/tead.cpp drive SolveService
 // through the one replay driver, service::run_replay (replay.hpp), whose

@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <new>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -97,103 +96,70 @@ void Device::set_block_size(int bx, int by) {
   block_ = Dim3{bx, by, 1};
 }
 
+void Device::count_launch(const KernelTraffic& traffic) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++launches_;
+  }
+  machine::Instrumentation& counts = machine::sink();
+  counts.add_launch();
+  counts.add_traffic(traffic.bytes_read, traffic.bytes_written, traffic.flops);
+}
+
+namespace {
+struct NoState {};
+}  // namespace
+
 void Device::launch_1d(const std::string& name, long n,
                        const KernelTraffic& traffic,
                        const std::function<void(long)>& body) {
-  launch_1d_blocks(name, n, traffic, [&](const Block1D& b) {
-    for (long i = b.lo; i < b.hi; ++i) body(i);
-  });
+  launch_1d_blocks(
+      name, n, traffic,
+      [&](const Block1D& b) {
+        for (long i = b.lo; i < b.hi; ++i) body(i);
+        return NoState{};
+      },
+      [](NoState) {});
 }
 
 void Device::launch_2d(const std::string& name, int nx, int ny,
                        const KernelTraffic& traffic,
                        const std::function<void(int, int)>& body) {
-  launch_2d_blocks(name, nx, ny, traffic, [&](const Block2D& b) {
-    for (int j = b.y0; j < b.y1; ++j) {
-      for (int i = b.x0; i < b.x1; ++i) body(i, j);
-    }
-  });
-}
-
-void Device::launch_1d_blocks(
-    const std::string& name, long n, const KernelTraffic& traffic,
-    const std::function<void(const Block1D&)>& block_body) {
-  (void)name;
-  if (n <= 0) return;
-  const long block = static_cast<long>(block_.x) * block_.y;
-  const long grid = (n + block - 1) / block;
-  // Blocks are scheduled across workers like SMs pick up thread blocks.
-  pool().parallel_for(0, grid, [&](long blo, long bhi) {
-    for (long b = blo; b < bhi; ++b) {
-      const long lo = b * block;
-      block_body(Block1D{b, lo, std::min(lo + block, n)});
-    }
-  });
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++launches_;
-  }
-  machine::Instrumentation& counts = machine::sink();
-  counts.add_launch();
-  counts.add_traffic(traffic.bytes_read, traffic.bytes_written, traffic.flops);
-}
-
-void Device::launch_2d_blocks(
-    const std::string& name, int nx, int ny, const KernelTraffic& traffic,
-    const std::function<void(const Block2D&)>& block_body) {
-  (void)name;
-  if (nx <= 0 || ny <= 0) return;
-  const int gx = div_up(nx, block_.x);
-  const int gy = div_up(ny, block_.y);
-  const long blocks = static_cast<long>(gx) * gy;
-  pool().parallel_for(0, blocks, [&](long blo, long bhi) {
-    for (long b = blo; b < bhi; ++b) {
-      const int x0 = static_cast<int>(b % gx) * block_.x;
-      const int y0 = static_cast<int>(b / gx) * block_.y;
-      block_body(Block2D{b, x0, std::min(x0 + block_.x, nx), y0,
-                         std::min(y0 + block_.y, ny)});
-    }
-  });
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++launches_;
-  }
-  machine::Instrumentation& counts = machine::sink();
-  counts.add_launch();
-  counts.add_traffic(traffic.bytes_read, traffic.bytes_written, traffic.flops);
+  launch_2d_blocks(
+      name, nx, ny, traffic,
+      [&](const Block2D& b) {
+        for (int j = b.y0; j < b.y1; ++j) {
+          for (int i = b.x0; i < b.x1; ++i) body(i, j);
+        }
+        return NoState{};
+      },
+      [](NoState) {});
 }
 
 double Device::reduce_sum(const std::string& name, long n,
                           const std::function<double(long)>& value_of) {
-  (void)name;
   if (n <= 0) return 0.0;
-  const long block = static_cast<long>(block_.x) * block_.y;
-  const long grid = (n + block - 1) / block;
-  std::vector<double> partials(static_cast<std::size_t>(grid), 0.0);
-  pool().parallel_for(0, grid, [&](long blo, long bhi) {
-    for (long b = blo; b < bhi; ++b) {
-      const long lo = b * block;
-      const long hi = std::min(lo + block, n);
-      double acc = 0.0;
-      for (long i = lo; i < hi; ++i) acc += value_of(i);
-      partials[static_cast<std::size_t>(b)] = acc;
-    }
-  });
-  // Final pass in block order: deterministic for fixed geometry.
+  const long grid = (n + block_.count() - 1) / block_.count();
+  // The partial kernel: one partial per block, through device memory, and
+  // a final pass over them in block order (deterministic for a fixed block
+  // size, whatever the pool).
   double total = 0.0;
-  for (const double p : partials) total += p;
-
+  launch_1d_blocks(
+      name, n, {grid * 8, grid * 8, n},
+      [&](const Block1D& b) {
+        double acc = 0.0;
+        for (long i = b.lo; i < b.hi; ++i) acc += value_of(i);
+        return acc;
+      },
+      [&](double partial) { total += partial; });
+  // The final-reduce kernel; its scalar result crosses PCIe.
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    launches_ += 2;  // partial kernel + final-reduce kernel
+    ++launches_;
   }
   machine::Instrumentation& counts = machine::sink();
-  counts.add_launch(2);
+  counts.add_launch();
   counts.add_reduction();
-  // Partials travel through device memory; the scalar result crosses PCIe.
-  counts.add_traffic(static_cast<std::int64_t>(grid) * 8,
-                     static_cast<std::int64_t>(grid) * 8,
-                     static_cast<std::int64_t>(n));
   counts.add_d2h(8);
   return total;
 }

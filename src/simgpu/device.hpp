@@ -14,11 +14,13 @@
 // P100 is projected by machine::project_time from the instrumented counts.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <type_traits>
 
 #include "machine/instrumentation.hpp"
 #include "simgpu/dim3.hpp"
@@ -73,16 +75,48 @@ public:
                  const KernelTraffic& traffic,
                  const std::function<void(int, int)>& body);
 
-  /// Block-level forms of launch_1d / launch_2d: the body runs once per
-  /// thread block, over that block's index range, so callers can keep
-  /// per-block state (a CUDA kernel's shared-memory reduction partials).
-  /// Same grid, scheduling and counters as the per-element forms.
+  /// Block-level forms of launch_1d / launch_2d: `block_body(block)` runs
+  /// once per thread block, over that block's index range, and returns the
+  /// block's private state (a CUDA kernel's shared-memory reduction
+  /// partials).  After the grid, `fold(state)` sees every block's state in
+  /// block order (tlp::fold_rows), as the final pass of a two-phase
+  /// reduction does.  The per-element forms are these with no state.
+  template <typename BlockBody, typename Fold>
   void launch_1d_blocks(const std::string& name, long n,
-                        const KernelTraffic& traffic,
-                        const std::function<void(const Block1D&)>& block_body);
+                        const KernelTraffic& traffic, BlockBody&& block_body,
+                        Fold&& fold) {
+    (void)name;
+    if (n <= 0) return;
+    const long block = block_.count();
+    using State = std::invoke_result_t<BlockBody&, const Block1D&>;
+    tlp::fold_rows<State>(
+        &pool(), (n + block - 1) / block,
+        [&](long b) {
+          const long lo = b * block;
+          return block_body(Block1D{b, lo, std::min(lo + block, n)});
+        },
+        fold);
+    count_launch(traffic);
+  }
+  template <typename BlockBody, typename Fold>
   void launch_2d_blocks(const std::string& name, int nx, int ny,
-                        const KernelTraffic& traffic,
-                        const std::function<void(const Block2D&)>& block_body);
+                        const KernelTraffic& traffic, BlockBody&& block_body,
+                        Fold&& fold) {
+    (void)name;
+    if (nx <= 0 || ny <= 0) return;
+    const int gx = div_up(nx, block_.x);
+    using State = std::invoke_result_t<BlockBody&, const Block2D&>;
+    tlp::fold_rows<State>(
+        &pool(), static_cast<long>(gx) * div_up(ny, block_.y),
+        [&](long b) {
+          const int x0 = static_cast<int>(b % gx) * block_.x;
+          const int y0 = static_cast<int>(b / gx) * block_.y;
+          return block_body(Block2D{b, x0, std::min(x0 + block_.x, nx), y0,
+                                    std::min(y0 + block_.y, ny)});
+        },
+        fold);
+    count_launch(traffic);
+  }
 
   /// Two-phase device reduction: sum of value_of(i) for i in [0, n).
   /// Deterministic for a fixed block size: per-block partials are reduced in
@@ -99,6 +133,7 @@ public:
 
 private:
   tlp::ThreadPool& pool();
+  void count_launch(const KernelTraffic& traffic);
   void check_device_ptr(const void* ptr, std::size_t bytes,
                         const char* what) const;
 

@@ -1,23 +1,13 @@
-// schedule.hpp — loop scheduling policies for tlp::parallel_for, mirroring
-// OpenMP's static/dynamic/guided clauses (the paper's CPU builds all rely on
-// OpenMP work-sharing; this library is our from-scratch equivalent).
+// schedule.hpp — the static loop schedule of tlp::ThreadPool, OpenMP's
+// default `schedule(static)` (the paper's CPU builds all rely on OpenMP
+// work-sharing; this library is our from-scratch equivalent).  It decides
+// which thread runs which rows, never how a reduction associates: row
+// partials fold in row order whatever the split (tlp::fold_rows).
 #pragma once
 
 #include <algorithm>
 
 namespace tlp {
-
-enum class Schedule {
-  kStatic,   // contiguous equal blocks, decided up front (OpenMP default)
-  kDynamic,  // fixed-size chunks handed out on demand
-  kGuided,   // exponentially shrinking chunks
-};
-
-struct ForOptions {
-  Schedule schedule = Schedule::kStatic;
-  // Chunk granularity for dynamic/guided (elements); 0 = auto.
-  long chunk = 0;
-};
 
 /// The [begin,end) sub-range thread `tid` of `nthreads` owns under static
 /// scheduling.  Remainder elements are spread over the leading threads, as

@@ -28,7 +28,9 @@ int default_threads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::ThreadPool(int num_threads) : num_threads_(std::max(1, num_threads)) {
+ThreadPool::ThreadPool(int num_threads)
+    : num_threads_(std::max(1, num_threads)),
+      rows_built_(static_cast<std::size_t>(num_threads_)) {
   workers_.reserve(static_cast<std::size_t>(num_threads_ - 1));
   for (int tid = 1; tid < num_threads_; ++tid) {
     workers_.emplace_back([this, tid] { worker_main(tid); });
@@ -89,16 +91,28 @@ void ThreadPool::worker_main(int tid) {
   }
 }
 
+ThreadPool::Claim::Claim(ThreadPool& pool) : pool_(pool) {
+  // job_/remaining_ and the row slots hold one dispatch; a second
+  // dispatcher would overwrite them under the first one's workers.
+  if (pool_.dispatching_.exchange(true, std::memory_order_acquire)) {
+    throw tl::Error("tlp::ThreadPool: concurrent parallel_region on one pool");
+  }
+}
+
+ThreadPool::Claim::~Claim() {
+  pool_.dispatching_.store(false, std::memory_order_release);
+}
+
 void ThreadPool::parallel_region(const std::function<void(int, int)>& body) {
   if (num_threads_ == 1) {
     body(0, 1);
     return;
   }
-  // job_/remaining_ hold one region; a second dispatcher would overwrite
-  // them under the first one's workers.
-  if (dispatching_.exchange(true, std::memory_order_acquire)) {
-    throw tl::Error("tlp::ThreadPool: concurrent parallel_region on one pool");
-  }
+  const Claim claim(*this);
+  run_claimed(body);
+}
+
+void ThreadPool::run_claimed(const std::function<void(int, int)>& body) {
   job_ = &body;
   remaining_.store(num_threads_ - 1, std::memory_order_relaxed);
   // Publish: job_ and remaining_ above are ordered before this increment
@@ -128,7 +142,6 @@ void ThreadPool::parallel_region(const std::function<void(int, int)>& body) {
     backoff.pause();
   }
   job_ = nullptr;
-  dispatching_.store(false, std::memory_order_release);
 
   std::exception_ptr err;
   {
@@ -138,63 +151,27 @@ void ThreadPool::parallel_region(const std::function<void(int, int)>& body) {
   if (err) std::rethrow_exception(err);
 }
 
-void ThreadPool::run_loop(long begin, long end, ForOptions opts,
-                          const std::function<void(int, long, long)>& chunk_body) {
-  const long n = end - begin;
-  if (n <= 0) return;
+void ThreadPool::parallel_for(long begin, long end,
+                              const std::function<void(long, long)>& body) {
+  if (end <= begin) return;
   if (num_threads_ == 1) {
-    chunk_body(0, begin, end);
+    body(begin, end);
     return;
   }
-
-  switch (opts.schedule) {
-    case Schedule::kStatic: {
-      parallel_region([&](int tid, int nthreads) {
-        const StaticRange r = static_partition(begin, end, tid, nthreads);
-        if (r.begin < r.end) chunk_body(tid, r.begin, r.end);
-      });
-      break;
-    }
-    case Schedule::kDynamic: {
-      const long chunk =
-          opts.chunk > 0 ? opts.chunk
-                         : std::max<long>(1, n / (num_threads_ * 8));
-      std::atomic<long> next(begin);
-      parallel_region([&](int tid, int) {
-        for (;;) {
-          const long lo = next.fetch_add(chunk, std::memory_order_relaxed);
-          if (lo >= end) break;
-          chunk_body(tid, lo, std::min(lo + chunk, end));
-        }
-      });
-      break;
-    }
-    case Schedule::kGuided: {
-      const long min_chunk = opts.chunk > 0 ? opts.chunk : 1;
-      std::atomic<long> next(begin);
-      parallel_region([&](int tid, int nthreads) {
-        for (;;) {
-          // Guided: each grab takes remaining/(2*nthreads), floored at
-          // min_chunk.  Races over-estimate `remaining` harmlessly.
-          const long observed = next.load(std::memory_order_relaxed);
-          if (observed >= end) break;
-          const long want = std::max<long>(
-              min_chunk, (end - observed) / (2 * nthreads));
-          const long lo = next.fetch_add(want, std::memory_order_relaxed);
-          if (lo >= end) break;
-          chunk_body(tid, lo, std::min(lo + want, end));
-        }
-      });
-      break;
-    }
-  }
+  const auto chunk = [&](int tid, int nthreads) {
+    const StaticRange r = static_partition(begin, end, tid, nthreads);
+    if (r.begin < r.end) body(r.begin, r.end);
+  };
+  parallel_region(std::ref(chunk));
 }
 
-void ThreadPool::parallel_for(long begin, long end,
-                              const std::function<void(long, long)>& body,
-                              ForOptions opts) {
-  run_loop(begin, end, opts,
-           [&](int /*tid*/, long lo, long hi) { body(lo, hi); });
+void* ThreadPool::row_slots(long n_rows, std::size_t bytes_per_row) {
+  const std::size_t rows = static_cast<std::size_t>(n_rows);
+  const std::size_t words =
+      (rows * bytes_per_row + sizeof(std::max_align_t) - 1) /
+      sizeof(std::max_align_t);
+  if (row_slots_.size() < words) row_slots_.resize(words);
+  return row_slots_.data();
 }
 
 ThreadPool& global_pool() {

@@ -136,11 +136,12 @@ INSTANTIATE_TEST_SUITE_P(Golden, GoldenCaseTest, ::testing::ValuesIn(kGolden),
 
 // --- threaded determinism ----------------------------------------------------
 //
-// The PR 3 determinism contract: every reduction sums rows through the fixed
-// four-lane scheme (ref::row_reduce4) and thread partials combine in thread
-// order, so the threaded manual host backend must walk the *same* iteration
-// trajectory as the serial reference — same outer/inner counts, same
-// convergence flags, same conserved temperature — at any thread count.
+// The determinism contract: every reduction sums each row through the fixed
+// four-lane scheme (ref::row_reduce4) and folds the row partials in row
+// order (tlp::fold_rows), so the threaded manual host backend must walk the
+// *same* iteration trajectory as the serial reference — same outer/inner
+// counts, same convergence flags, same conserved temperature — at any
+// thread count (test_thread_count pins the bits).
 class ThreadedGoldenCaseTest
     : public ::testing::TestWithParam<std::tuple<GoldenCase, int>> {};
 

@@ -44,8 +44,8 @@ TEST_P(AccTargetTest, ReductionSum) {
   std::iota(host.begin(), host.end(), 1.0);
   DataRegion region(GetParam());
   const double* p = region.copyin(tl::span<const double>(host));
-  const double sum =
-      region.parallel_reduce_sum("sum", 1000, [p](long i) { return p[i]; });
+  const double sum = region.parallel_reduce_sum(
+      "sum", 40, 25, [p](int i, int j) { return p[j * 40 + i]; });
   EXPECT_DOUBLE_EQ(sum, 1000.0 * 1001.0 / 2.0);
 }
 
@@ -91,8 +91,8 @@ TEST(AccDevice, UpdateDevicePushesHostEdits) {
   region.update_device(tl::span<const double>(host));
   double out = 0.0;
   // Read back through a reduction touching just the element.
-  out = region.parallel_reduce_sum("probe", 10,
-                                   [p](long i) { return i == 4 ? p[i] : 0.0; });
+  out = region.parallel_reduce_sum(
+      "probe", 10, 1, [p](int i, int) { return i == 4 ? p[i] : 0.0; });
   EXPECT_DOUBLE_EQ(out, 44.0);
 }
 

@@ -1,6 +1,6 @@
 // Unit tests for minikokkos: views, layouts, spaces, deep_copy/mirrors and
 // parallel dispatch across all three execution spaces.  Runs under TSan in
-// CI: Threads reductions fold per-chunk partials from pool threads.
+// CI: pool threads write the per-row partials Threads reductions fold.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "minikokkos/minikokkos.hpp"
-#include "threading/schedule.hpp"
 
 namespace {
 
@@ -254,30 +253,28 @@ TEST(MDRangeReduce, ThreadsRunOnTheNamedPool) {
 
 TEST(MDRangeReduce, ThreadsBitwiseRepeatableAcrossPools) {
   const auto v = make_grid<kk::HostSpace>();
-  // Rows are split statically over the ranks; each rank sweeps its rows
-  // into one accumulator, and rank partials are added in rank order.
-  constexpr int kThreads = 4;
+  // Each row sweeps into its own partial, and the row partials are added in
+  // row order — whatever the pool size, so every size gives these bits.
   double expected = 0.0;
-  for (int rank = 0; rank < kThreads; ++rank) {
-    const tlp::StaticRange r = tlp::static_partition(0, kRows, rank, kThreads);
+  for (long i0 = 0; i0 < kRows; ++i0) {
     double partial = 0.0;
-    for (long i0 = r.begin; i0 < r.end; ++i0) {
-      for (long i1 = 0; i1 < kCols; ++i1) partial += grid_value(i0, i1);
-    }
+    for (long i1 = 0; i1 < kCols; ++i1) partial += grid_value(i0, i1);
     expected += partial;
   }
 
-  tlp::ThreadPool first(kThreads);
-  const kk::Threads on_first{&first};
-  const double a = grid_sum(on_first, v, 0, kRows, 0, kCols);
-  const double a_again = grid_sum(on_first, v, 0, kRows, 0, kCols);
-  // Throwaway threads shift any thread-identity-based assignment.
-  for (int k = 0; k < 7; ++k) std::thread([] {}).join();
-  tlp::ThreadPool second(kThreads);
-  const double b = grid_sum(kk::Threads{&second}, v, 0, kRows, 0, kCols);
-  EXPECT_EQ(bits(a), bits(expected));
-  EXPECT_EQ(bits(a_again), bits(expected));
-  EXPECT_EQ(bits(b), bits(expected));
+  for (int threads = 1; threads <= 4; ++threads) {
+    tlp::ThreadPool first(threads);
+    const kk::Threads on_first{&first};
+    const double a = grid_sum(on_first, v, 0, kRows, 0, kCols);
+    const double a_again = grid_sum(on_first, v, 0, kRows, 0, kCols);
+    // Throwaway threads shift any thread-identity-based assignment.
+    for (int k = 0; k < 7; ++k) std::thread([] {}).join();
+    tlp::ThreadPool second(threads);
+    const double b = grid_sum(kk::Threads{&second}, v, 0, kRows, 0, kCols);
+    EXPECT_EQ(bits(a), bits(expected)) << threads << " threads";
+    EXPECT_EQ(bits(a_again), bits(expected)) << threads << " threads";
+    EXPECT_EQ(bits(b), bits(expected)) << threads << " threads";
+  }
 }
 
 TEST(MDRangeReduce, SimGPUMatchesFlatRangeReduceBitwise) {

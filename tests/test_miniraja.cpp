@@ -1,9 +1,10 @@
 // Unit tests for miniraja: forall across policies, nested kernels, and the
-// portable reducer objects (private per-chunk accumulators folded in chunk
-// order).  Runs under TSan in CI: reducers combine across threads at chunk
-// end.
+// portable reducer objects (private per-row accumulators folded in row
+// order).  Runs under TSan in CI: pool threads build the row partials that
+// the caller folds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -12,7 +13,6 @@
 
 #include "miniraja/miniraja.hpp"
 #include "simgpu/device.hpp"
-#include "threading/schedule.hpp"
 #include "threading/thread_pool.hpp"
 
 namespace {
@@ -142,9 +142,10 @@ TEST(Reducer, IndependentInstancesDoNotInterfere) {
   EXPECT_DOUBLE_EQ(a.get(), 64.0);
 }
 
-// A 4-rank fold must give the same bits whatever order the OS threads were
-// created in: each rank's partial is its static block summed in index order,
-// and partials fold in rank order.  Terms of mixed magnitude make any other
+// A fold must give the same bits at every pool size and whatever order the
+// OS threads were created in: each kReduceBlock-long block of the segment
+// is summed in index order on its own copy of the body, and the block
+// partials fold in block order.  Terms of mixed magnitude make any other
 // order visible in the last bits.
 TEST(Reducer, FourRankFoldIsIndependentOfThreadCreationOrder) {
   constexpr long kN = 4001;
@@ -154,20 +155,19 @@ TEST(Reducer, FourRankFoldIsIndependentOfThreadCreationOrder) {
         (i % 3 == 0 ? 1.0e8 : 1.0e-3) / static_cast<double>(i + 1);
   }
   double expected = 0.0;
-  for (int rank = 0; rank < 4; ++rank) {
-    const tlp::StaticRange r = tlp::static_partition(0, kN, rank, 4);
+  for (long lo = 0; lo < kN; lo += tlp::kReduceBlock) {
     double partial = 0.0;
-    for (long i = r.begin; i < r.end; ++i) {
+    for (long i = lo; i < std::min(lo + tlp::kReduceBlock, kN); ++i) {
       partial += values[static_cast<std::size_t>(i)];
     }
     expected += partial;
   }
 
   const double* v = values.data();
-  const auto fold_on = [&](tlp::ThreadPool& pool) {
+  const auto fold_on = [&](tlp::ThreadPool* pool) {
     raja::ReduceSum<double> sum(0.0);
     raja::forall<raja::omp_parallel_for_exec>(
-        &pool, raja::RangeSegment(0, kN), [=](long i) { sum += v[i]; });
+        pool, raja::RangeSegment(0, kN), [=](long i) { sum += v[i]; });
     return sum.get();
   };
   const auto bits = [](double d) {
@@ -176,24 +176,34 @@ TEST(Reducer, FourRankFoldIsIndependentOfThreadCreationOrder) {
     return u;
   };
 
-  tlp::ThreadPool first(4);
-  const double a = fold_on(first);
-  // Throwaway threads shift every thread-id-based slot assignment.
-  for (int k = 0; k < 7; ++k) std::thread([] {}).join();
-  tlp::ThreadPool second(4);
-  const double b = fold_on(second);
-  EXPECT_EQ(bits(a), bits(expected));
-  EXPECT_EQ(bits(b), bits(expected));
+  for (int threads = 1; threads <= 4; ++threads) {
+    tlp::ThreadPool first(threads);
+    const double a = fold_on(&first);
+    // Throwaway threads shift every thread-id-based slot assignment.
+    for (int k = 0; k < 7; ++k) std::thread([] {}).join();
+    tlp::ThreadPool second(threads);
+    const double b = fold_on(&second);
+    EXPECT_EQ(bits(a), bits(expected)) << threads << " threads";
+    EXPECT_EQ(bits(b), bits(expected)) << threads << " threads";
+  }
+  // seq_exec folds the same blocks in the same order.
+  raja::ReduceSum<double> seq(0.0);
+  raja::forall<raja::seq_exec>(raja::RangeSegment(0, kN),
+                               [=](long i) { seq += v[i]; });
+  EXPECT_EQ(bits(seq.get()), bits(expected));
 }
 
 TEST(Forall, RunsOnTheGivenPool) {
   tlp::ThreadPool pool(3);
   std::vector<std::thread::id> ran(3);
+  // One block per rank: three distinct threads, the caller being rank 0.
   raja::forall<raja::omp_parallel_for_exec>(
-      &pool, raja::RangeSegment(0, 3), [&](long i) {
-        ran[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+      &pool, raja::RangeSegment(0, 3 * tlp::kReduceBlock), [&](long i) {
+        if (i % tlp::kReduceBlock == 0) {
+          ran[static_cast<std::size_t>(i / tlp::kReduceBlock)] =
+              std::this_thread::get_id();
+        }
       });
-  // One index per rank: three distinct threads, the caller being rank 0.
   EXPECT_EQ(ran[0], std::this_thread::get_id());
   EXPECT_NE(ran[1], ran[0]);
   EXPECT_NE(ran[2], ran[0]);

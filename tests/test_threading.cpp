@@ -1,17 +1,18 @@
-// Unit and property tests for tlp: fork-join pool, scheduling policies,
-// reductions, barriers, exception propagation, thread ids.
+// Unit and property tests for tlp: fork-join pool, static scheduling, the
+// row-ordered reductions, barriers, exception propagation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
-#include <set>
+#include <cstdint>
+#include <cstring>
+#include <functional>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "threading/barrier.hpp"
 #include "threading/schedule.hpp"
-#include "threading/thread_id.hpp"
 #include "threading/thread_pool.hpp"
 
 namespace {
@@ -57,31 +58,23 @@ TEST(ThreadPool, RegionReusableAcrossGenerations) {
   EXPECT_EQ(total.load(), 150);
 }
 
-class ScheduleTest : public ::testing::TestWithParam<
-                         std::tuple<tlp::Schedule, int, long>> {};
+class ScheduleTest : public ::testing::TestWithParam<std::tuple<int, long>> {};
 
 TEST_P(ScheduleTest, ParallelForTouchesEachIndexOnce) {
-  const auto [sched, threads, n] = GetParam();
+  const auto [threads, n] = GetParam();
   tlp::ThreadPool pool(threads);
   std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
-  tlp::ForOptions opts;
-  opts.schedule = sched;
-  pool.parallel_for(
-      0, n,
-      [&](long lo, long hi) {
-        for (long i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)]++;
-      },
-      opts);
+  pool.parallel_for(0, n, [&](long lo, long hi) {
+    for (long i = lo; i < hi; ++i) hits[static_cast<std::size_t>(i)]++;
+  });
   for (long i = 0; i < n; ++i) {
     ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
   }
 }
 
 TEST_P(ScheduleTest, ReduceMatchesSerialSum) {
-  const auto [sched, threads, n] = GetParam();
+  const auto [threads, n] = GetParam();
   tlp::ThreadPool pool(threads);
-  tlp::ForOptions opts;
-  opts.schedule = sched;
   const double sum = pool.parallel_reduce<double>(
       0, n, 0.0,
       [](long lo, long hi) {
@@ -89,17 +82,14 @@ TEST_P(ScheduleTest, ReduceMatchesSerialSum) {
         for (long i = lo; i < hi; ++i) acc += static_cast<double>(i);
         return acc;
       },
-      [](double a, double b) { return a + b; }, opts);
+      [](double a, double b) { return a + b; });
   EXPECT_DOUBLE_EQ(sum, static_cast<double>(n) * (n - 1) / 2.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Schedules, ScheduleTest,
-    ::testing::Combine(::testing::Values(tlp::Schedule::kStatic,
-                                         tlp::Schedule::kDynamic,
-                                         tlp::Schedule::kGuided),
-                       ::testing::Values(1, 2, 7),
-                       ::testing::Values(0L, 1L, 1000L)));
+INSTANTIATE_TEST_SUITE_P(Schedules, ScheduleTest,
+                         ::testing::Combine(::testing::Values(1, 2, 7),
+                                            ::testing::Values(0L, 1L, 1000L,
+                                                              5000L)));
 
 TEST(ThreadPool, StaticReduceIsDeterministic) {
   tlp::ThreadPool pool(6);
@@ -224,19 +214,6 @@ TEST(ThreadPool, NestedDispatchOnOnePoolFailsClosed) {
   EXPECT_EQ(ran.load(), 2);
 }
 
-TEST(ThreadId, StablePerThreadAndDistinct) {
-  const int mine = tlp::current_thread_id();
-  EXPECT_EQ(tlp::current_thread_id(), mine);
-  std::set<int> ids;
-  std::mutex m;
-  tlp::ThreadPool pool(8);
-  pool.parallel_region([&](int, int) {
-    std::lock_guard<std::mutex> lock(m);
-    ids.insert(tlp::current_thread_id());
-  });
-  EXPECT_EQ(ids.size(), 8u);
-}
-
 // --- fork-join / barrier stress --------------------------------------------
 //
 // These cases hammer the wakeup and generation paths that a spin-barrier
@@ -265,18 +242,13 @@ TEST(ThreadPoolStress, RapidForkJoinGenerations) {
 
 TEST(ThreadPoolStress, MixedSizeReductionsStaySane) {
   // Alternate reductions over wildly different range sizes (empty, one
-  // element, odd primes, large) and schedules; every result is checked
-  // against the closed form, so a partial-combine bug or a reused partial
-  // slot from a previous generation shows up as a wrong sum.
+  // element, odd primes, large); every result is checked against the closed
+  // form, so a partial-combine bug or a reused partial slot from a previous
+  // generation shows up as a wrong sum.
   tlp::ThreadPool pool(5);
   const long sizes[] = {0, 1, 7, 97, 1000, 3, 12345, 2, 64};
-  const tlp::Schedule schedules[] = {tlp::Schedule::kStatic,
-                                     tlp::Schedule::kDynamic,
-                                     tlp::Schedule::kGuided};
   for (int rep = 0; rep < 300; ++rep) {
     const long n = sizes[rep % (sizeof(sizes) / sizeof(sizes[0]))];
-    tlp::ForOptions opts;
-    opts.schedule = schedules[rep % 3];
     const double sum = pool.parallel_reduce<double>(
         0, n, 0.0,
         [](long lo, long hi) {
@@ -284,7 +256,7 @@ TEST(ThreadPoolStress, MixedSizeReductionsStaySane) {
           for (long i = lo; i < hi; ++i) acc += static_cast<double>(i);
           return acc;
         },
-        [](double a, double b) { return a + b; }, opts);
+        [](double a, double b) { return a + b; });
     ASSERT_DOUBLE_EQ(sum, static_cast<double>(n) * (n - 1) / 2.0)
         << "rep " << rep << " n " << n;
   }
@@ -357,22 +329,124 @@ TEST(BarrierStress, TwoBarriersPingPong) {
   });
 }
 
-TEST(ThreadPool, GuidedChunksShrink) {
+// --- row-ordered reductions -------------------------------------------------
+
+std::uint64_t bits(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+// Row partials of mixed magnitude, so any fold order other than row order
+// shows in the last bits.
+double row_value(long j) {
+  return (j % 3 == 0 ? 1.0e8 : 1.0e-3) / static_cast<double>(j + 1);
+}
+
+TEST(ReduceRows, BitsEqualTheRowOrderFoldAtEveryPoolSize) {
+  constexpr long kRows = 997;
+  double expected = 0.0;
+  for (long j = 0; j < kRows; ++j) expected += row_value(j);
+
+  EXPECT_EQ(bits(tlp::reduce_rows(nullptr, kRows, 0.0, row_value,
+                                  std::plus<>())),
+            bits(expected));
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    tlp::ThreadPool pool(threads);
+    for (int rep = 0; rep < 3; ++rep) {
+      EXPECT_EQ(bits(tlp::reduce_rows(&pool, kRows, 0.0, row_value,
+                                      std::plus<>())),
+                bits(expected))
+          << threads << " threads, rep " << rep;
+    }
+  }
+}
+
+TEST(ReduceRows, ParallelReduceFoldsFixedBlocksInIndexOrder) {
+  constexpr long kN = 5 * tlp::kReduceBlock + 17;
+  double expected = 0.0;
+  for (long lo = 0; lo < kN; lo += tlp::kReduceBlock) {
+    double block = 0.0;
+    for (long i = lo; i < std::min(lo + tlp::kReduceBlock, kN); ++i) {
+      block += row_value(i);
+    }
+    expected += block;
+  }
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    tlp::ThreadPool pool(threads);
+    const double sum = pool.parallel_reduce<double>(
+        0, kN, 0.0,
+        [](long lo, long hi) {
+          double acc = 0.0;
+          for (long i = lo; i < hi; ++i) acc += row_value(i);
+          return acc;
+        },
+        std::plus<>());
+    EXPECT_EQ(bits(sum), bits(expected)) << threads << " threads";
+  }
+}
+
+// A partial with a destructor: counts constructions and destructions, and
+// records the order the caller folds rows in.
+struct Tracked {
+  static std::atomic<int> live;
+  long row;
+  explicit Tracked(long j) : row(j) { ++live; }
+  Tracked(const Tracked& o) : row(o.row) { ++live; }
+  ~Tracked() { --live; }
+};
+std::atomic<int> Tracked::live{0};
+
+TEST(FoldRows, FoldsEveryRowOnceInRowOrderAndDestroysIt) {
+  tlp::ThreadPool pool(3);
+  for (const long rows : {0L, 1L, 2L, 50L}) {
+    std::vector<long> order;
+    tlp::fold_rows<Tracked>(
+        &pool, rows, [](long j) { return Tracked(j); },
+        [&](const Tracked& t) { order.push_back(t.row); });
+    ASSERT_EQ(static_cast<long>(order.size()), rows);
+    for (long j = 0; j < rows; ++j) {
+      EXPECT_EQ(order[static_cast<std::size_t>(j)], j);
+    }
+    EXPECT_EQ(Tracked::live.load(), 0);
+  }
+}
+
+TEST(FoldRows, ThrowingRowDestroysTheFinishedRowsAndFoldsNone) {
   tlp::ThreadPool pool(4);
-  std::vector<long> chunk_sizes;
-  std::mutex m;
-  tlp::ForOptions opts;
-  opts.schedule = tlp::Schedule::kGuided;
-  pool.parallel_for(
-      0, 10000,
-      [&](long lo, long hi) {
-        std::lock_guard<std::mutex> lock(m);
-        chunk_sizes.push_back(hi - lo);
-      },
-      opts);
-  ASSERT_GT(chunk_sizes.size(), 1u);
-  const long covered = std::accumulate(chunk_sizes.begin(), chunk_sizes.end(), 0L);
-  EXPECT_EQ(covered, 10000);
+  int folded = 0;
+  EXPECT_THROW(tlp::fold_rows<Tracked>(
+                   &pool, 64,
+                   [](long j) {
+                     if (j == 40) throw tl::Error("row boom");
+                     return Tracked(j);
+                   },
+                   [&](const Tracked&) { ++folded; }),
+               tl::Error);
+  EXPECT_EQ(folded, 0);
+  EXPECT_EQ(Tracked::live.load(), 0);
+  // The pool and its row slots stay usable.
+  std::vector<long> order;
+  tlp::fold_rows<Tracked>(
+      &pool, 64, [](long j) { return Tracked(j); },
+      [&](const Tracked& t) { order.push_back(t.row); });
+  ASSERT_EQ(order.size(), 64u);
+  EXPECT_EQ(order.back(), 63);
+  EXPECT_EQ(Tracked::live.load(), 0);
+}
+
+TEST(FoldRows, NestedFoldOnOnePoolFailsClosed) {
+  tlp::ThreadPool pool(2);
+  EXPECT_THROW(tlp::reduce_rows(
+                   &pool, 4, 0.0,
+                   [&](long) {
+                     return tlp::reduce_rows(&pool, 4, 0.0, row_value,
+                                             std::plus<>());
+                   },
+                   std::plus<>()),
+               tl::Error);
+  EXPECT_EQ(tlp::reduce_rows(&pool, 2, 0.0, row_value, std::plus<>()),
+            row_value(0) + row_value(1));
 }
 
 }  // namespace
